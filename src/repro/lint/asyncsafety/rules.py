@@ -185,9 +185,9 @@ class UnboundedChannelRule(ProgramRule):
     """RL019 — an unbounded channel inside the serving layer.
 
     The daemon's backpressure invariant is that *every* hop of
-    ``socket → line reader → tenant queue → worker → output queue →
-    writer`` is bounded: a stalled consumer must push back to the
-    sender's TCP window instead of growing daemon memory.  One default
+    ``socket → line reader → tenant queue → worker → drain()`` is
+    bounded: a stalled consumer must push back to the sender's TCP
+    window instead of growing daemon memory.  One default
     ``asyncio.Queue()`` (infinite) or ``StreamReader()`` (default
     limit, decoupled from ``--max-line``) silently breaks the chain —
     memory grows until the OOM killer, not the backpressure, ends the

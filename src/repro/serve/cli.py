@@ -61,7 +61,7 @@ def add_serve_parser(
     )
     p.add_argument(
         "--queue-size", type=int, default=None,
-        help="per-tenant/output queue bound (REPRO_SERVE_QUEUE)",
+        help="per-tenant input queue bound (REPRO_SERVE_QUEUE)",
     )
     p.add_argument(
         "--max-line", type=int, default=None,

@@ -3,28 +3,29 @@
 One process multiplexes many tenant scheduler streams.  Each tenant
 gets a bounded input queue and a worker task applying its ops in order
 (:class:`~repro.serve.session.TenantSession` is single-writer by
-construction); each connection gets a bounded output queue and a writer
-task.  The chain
+construction).  A worker writes each op's records to the op's
+connection in one write and awaits that connection's ``drain()``.  The
+chain
 
-    socket -> line reader -> tenant queue -> worker -> output queue
-    -> writer -> socket
+    socket -> line reader -> tenant queue -> worker -> drain() -> socket
 
 awaits at every hop, so a slow or stalled consumer exerts *backpressure*
 all the way back to the client's TCP window instead of growing daemon
-memory: no queue ever holds more than its bound, and the line reader
-buffers at most one oversized line.
+memory: no tenant queue holds more than its bound, the transport's flow
+control caps the output buffer, and the line reader buffers at most one
+oversized line.
 
 Shutdown is graceful by default: ``SIGTERM``/``SIGINT`` (or an in-band
 ``shutdown`` op) stops intake, applies every already-queued op, closes
 every open session (forcing the engine's deadline backstops so every
 admitted job starts — the drained traces reconcile under ``repro obs
-explain --strict``), writes final checkpoints, flushes every output
-queue, and exits.  A consumer that stops reading mid-drain is aborted
-after ``drain_timeout`` seconds so the daemon always terminates; the
-checkpoints are written *before* the output flush, so recovery never
-depends on the consumer.  ``SIGKILL`` recovery rides the periodic
-checkpoints instead: restart with ``--restore`` and every tenant replays
-its op log, suppressing already-delivered outputs
+explain --strict``), writes final checkpoints, flushes and closes every
+connection, and exits.  A consumer that stops reading mid-drain is
+aborted after ``drain_timeout`` seconds so the daemon always
+terminates; the checkpoints are written *before* the output flush, so
+recovery never depends on the consumer.  ``SIGKILL`` recovery rides the
+periodic checkpoints instead: restart with ``--restore`` and every
+tenant replays its op log, suppressing already-delivered outputs
 (:mod:`repro.serve.checkpoint`).
 """
 
@@ -128,40 +129,39 @@ class _LineFramer:
 
 
 class _Connection:
-    """One client connection: bounded output queue + writer task."""
+    """One client connection: each op's records go out in one write."""
 
     def __init__(self, daemon: "ServeDaemon", writer: asyncio.StreamWriter) -> None:
         self._daemon = daemon
         self._writer = writer
-        self.out: asyncio.Queue[dict[str, Any] | None] = asyncio.Queue(
-            daemon.queue_size
-        )
         self.dead = False
-        self.task: asyncio.Task[None] = asyncio.create_task(self._write_loop())
 
-    async def emit(self, record: dict[str, Any]) -> None:
-        """Enqueue one output record (awaits when the queue is full)."""
-        await self.out.put(record)
+    async def send(self, records: list[dict[str, Any]]) -> None:
+        """Encode ``records``, write them in one go, await one drain.
 
-    async def _write_loop(self) -> None:
-        while True:
-            record = await self.out.get()
+        The drain is the backpressure: a stalled consumer parks the
+        caller here (and with it the tenant queue behind it).  A dead
+        consumer drops records instead, so no caller ever blocks on it.
+        """
+        if self.dead or not records:
+            return
+        lines: list[bytes] = []
+        for record in records:
             try:
-                if record is None:
-                    return
-                if not self.dead:
-                    try:
-                        self._writer.write(encode_record(record))
-                        await self._writer.drain()
-                        self._daemon.records_out += 1
-                    except (ConnectionError, OSError):
-                        # Consumer went away: keep *consuming* the queue
-                        # so workers blocked in emit() never deadlock.
-                        self.dead = True
-            finally:
-                # Balanced even if drain() is cancelled mid-write, so a
-                # pending out.join() can never hang on a lost credit.
-                self.out.task_done()
+                lines.append(encode_record(record))
+            except ValueError as exc:  # NaN or Infinity: strict JSON only
+                self._daemon.errors += 1
+                error = f"unencodable {record.get('kind')} record: {exc}"
+                lines.append(
+                    encode_record(error_record(error, tenant=record.get("tenant")))
+                )
+        try:
+            self._writer.write(b"".join(lines))
+            await self._writer.drain()
+        except (ConnectionError, OSError):
+            self.dead = True
+            return
+        self._daemon.records_out += len(lines)
 
     def abort(self) -> None:
         """Hard-stop a stalled consumer (drain watchdog)."""
@@ -171,28 +171,19 @@ class _Connection:
         except (RuntimeError, OSError):  # transport already gone
             pass
 
-    async def finish(self) -> None:
-        """Flush queued records and close the transport — but keep the
-        writer task consuming.  Ops already routed with this connection
-        may still be applied after the client leaves (e.g. the drain's
-        synthetic close), and their ``emit()`` must never block on a
-        queue nobody reads.  The daemon reaps the task at shutdown via
-        :meth:`flush_and_close`."""
-        await self.out.join()
-        await self._close_transport()
+    async def close(self) -> None:
+        """Flush every buffered byte, then close; later sends are dropped.
 
-    async def flush_and_close(self) -> None:
-        """Write out everything queued, stop the writer, close."""
-        await self.out.put(None)
-        await self.task
-        await self._close_transport()
-
-    async def _close_transport(self) -> None:
+        A zero high-water mark makes the drain wait for an empty buffer:
+        the stdio pipe writer has no close waiter to do it.
+        """
+        self.dead = True
+        writer = self._writer
         try:
-            self._writer.close()
-            # The stdio writer's FlowControlMixin protocol has no close
-            # waiter; everything else awaits the final flush.
-            await self._writer.wait_closed()
+            writer.transport.set_write_buffer_limits(high=0)
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
         except (ConnectionError, OSError, NotImplementedError):
             pass
 
@@ -299,6 +290,7 @@ class ServeDaemon:
     # ------------------------------------------------------------ entrypoints
     async def run_unix(self, path: "str | Path") -> None:
         """Serve on a Unix domain socket until drained."""
+        await self._prepare()  # restore before any client can connect
         server = await asyncio.start_unix_server(
             self._on_connection, path=str(path), limit=self._reader_limit()
         )
@@ -306,6 +298,7 @@ class ServeDaemon:
 
     async def run_tcp(self, host: str, port: int) -> None:
         """Serve on a TCP socket until drained."""
+        await self._prepare()  # restore before any client can connect
         server = await asyncio.start_server(
             self._on_connection, host, port, limit=self._reader_limit()
         )
@@ -321,7 +314,9 @@ class ServeDaemon:
             self.on_ready("stdio")
         self._install_signal_handlers()
         try:
-            conn_task = asyncio.create_task(self._on_connection(reader, writer))
+            conn_task = asyncio.create_task(
+                self._on_connection(reader, writer, close_at_eof=False)
+            )
             event = self._shutdown_event
             assert event is not None
             wait_task = asyncio.create_task(event.wait())
@@ -374,7 +369,6 @@ class ServeDaemon:
     async def _run_with_server(
         self, server: asyncio.AbstractServer, address: str
     ) -> None:
-        await self._prepare()
         if self.on_ready is not None:
             self.on_ready(address)
         self._install_signal_handlers()
@@ -408,35 +402,38 @@ class ServeDaemon:
         self._signals.clear()
 
     async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        *,
+        close_at_eof: bool = True,
     ) -> None:
+        """Read and route one connection's ops until EOF or drain.
+
+        Stdio passes ``close_at_eof=False``: its EOF starts the drain,
+        whose implicit closes still answer here, so the drain closes it.
+        """
         conn = _Connection(self, writer)
         self.connections.add(conn)
         task = asyncio.current_task()
         if task is not None:
             self._reader_tasks.add(task)
         try:
-            await conn.emit(
-                {
-                    "kind": "serve.ready",
-                    "version": PROTOCOL_VERSION,
-                    "default_scheduler": self.default_scheduler,
-                    "schedulers": scheduler_names(),
-                    "tenants": sorted(self.tenants),
-                }
-            )
+            ready = {
+                "kind": "serve.ready",
+                "version": PROTOCOL_VERSION,
+                "default_scheduler": self.default_scheduler,
+                "schedulers": scheduler_names(),
+                "tenants": sorted(self.tenants),
+            }
+            await conn.send([ready])
             lines = _LineFramer(reader, self.max_line)
             while not self.draining:
                 line, oversized = await lines.next_line()
                 if oversized:
                     self.errors += 1
-                    await conn.emit(
-                        error_record(
-                            f"input line exceeds {self.max_line} bytes — "
-                            "dropped",
-                            oversized=True,
-                        )
-                    )
+                    error = f"input line exceeds {self.max_line} bytes — dropped"
+                    await conn.send([error_record(error, oversized=True)])
                 if line is None:
                     break
                 if oversized or not line.strip():
@@ -446,7 +443,7 @@ class ServeDaemon:
                     op = parse_op(line)
                 except ProtocolError as exc:
                     self.errors += 1
-                    await conn.emit(error_record(str(exc), tenant=exc.tenant))
+                    await conn.send([error_record(str(exc), tenant=exc.tenant)])
                     continue
                 await self._route(op, conn)
         except asyncio.CancelledError:
@@ -456,31 +453,31 @@ class ServeDaemon:
                 # here: hard-stop the connection instead of flushing.
                 self.connections.discard(conn)
                 conn.abort()
-                conn.task.cancel()
-            # On drain: intake is cancelled, outputs flushed by _drain()
+            # On drain: intake is cancelled, _drain() closes the connection
         except (ConnectionError, OSError):
             pass  # client went away mid-read
         finally:
             if task is not None:
                 self._reader_tasks.discard(task)
-            if not self.draining and conn in self.connections:
+            if close_at_eof and not self.draining and conn in self.connections:
                 # Let in-flight ops routed from this connection finish
-                # (their outputs land on conn.out), then flush.  The
-                # connection stays registered: its writer task keeps
-                # consuming until the daemon-level drain reaps it.
+                # (their outputs are written as they apply), then close.
+                # Ops applied later for it (the drain's implicit close)
+                # find it dead and drop their records.
                 for state in list(self.tenants.values()):
                     if state.last_conn is conn:
                         await state.queue.join()
-                await conn.finish()
+                await conn.close()
+                self.connections.discard(conn)
 
     async def _route(self, op: dict[str, Any], conn: _Connection) -> None:
         kind = op["op"]
         if kind == "shutdown":
-            await conn.emit({"kind": "serve.bye", "tenants": len(self.tenants)})
+            await conn.send([{"kind": "serve.bye", "tenants": len(self.tenants)}])
             self.request_shutdown()
             return
         if kind == "stats":
-            await conn.emit(self._stats_record())
+            await conn.send([self._stats_record()])
             return
         tenant = op.get("tenant")
         if tenant is None:  # tenant-less checkpoint: fan out to every tenant
@@ -529,8 +526,7 @@ class ServeDaemon:
                 )
             ]
         if conn is not None:
-            for record in outs:
-                await conn.emit(record)
+            await conn.send(outs)
 
     async def _mutate(
         self, state: _TenantState, op: dict[str, Any]
@@ -672,23 +668,15 @@ class ServeDaemon:
                 if session.failed is not None:
                     entry["failed"] = session.failed
             tenants[name] = entry
-        record: dict[str, Any] = {
+        return {
             "kind": "serve.stats",
             "lines_in": self.lines_in,
             "records_out": self.records_out,
             "errors": self.errors,
             "draining": self.draining,
             "tenants": tenants,
+            "telemetry": self.telemetry_snapshot(),
         }
-        if self.live is not None:
-            record["telemetry"] = self.telemetry_snapshot()
-        else:
-            record["telemetry"] = {
-                "kind": "telemetry",
-                "enabled": False,
-                "tenants": {},
-            }
-        return record
 
     # ----------------------------------------------------------------- drain
     async def _drain(self) -> None:
@@ -744,10 +732,10 @@ class ServeDaemon:
             # back into per-tenant breakdowns.
             if self.trace_dir is not None:
                 await asyncio.to_thread(self._write_merged_trace)
-            # Flush and close every connection (checkpoints are already
-            # on disk, so a dead consumer costs only its own records).
+            # Close every connection (checkpoints are already on disk,
+            # so a dead consumer costs only its own records).
             for conn in list(self.connections):
-                await conn.flush_and_close()
+                await conn.close()
             self.connections.clear()
         finally:
             watchdog.cancel()

@@ -36,9 +36,9 @@ trace a session writes with no extra translation.
 Knobs (environment, overridable per-flag on the CLI):
 
 ``REPRO_SERVE_QUEUE``
-    Bound on each per-tenant input queue and each connection's output
-    queue (default 256).  Full queues propagate backpressure to the
-    socket instead of buffering without limit.
+    Bound on each per-tenant input queue (default 256).  A full queue
+    propagates backpressure to the socket instead of buffering without
+    limit; output is bounded by the transport's own flow control.
 ``REPRO_SERVE_MAX_LINE``
     Longest accepted input line in bytes (default 65536).  Longer lines
     are rejected with a ``serve.error`` record; the connection survives.
@@ -50,6 +50,7 @@ Knobs (environment, overridable per-flag on the CLI):
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from typing import Any
@@ -120,7 +121,7 @@ def _env_int(name: str, default: int, *, minimum: int = 0) -> int:
 
 
 def queue_size(override: int | None = None) -> int:
-    """Per-tenant/output queue bound (``REPRO_SERVE_QUEUE``)."""
+    """Per-tenant input queue bound (``REPRO_SERVE_QUEUE``)."""
     if override is not None:
         if override < 1:
             raise ValueError(f"queue size must be >= 1, got {override}")
@@ -184,8 +185,14 @@ def parse_op(raw: "str | bytes") -> dict[str, Any]:
         raise ProtocolError(f"op {op!r} requires a tenant")
     if op == "advance":
         t = obj.get("t")
-        if not isinstance(t, (int, float)) or isinstance(t, bool):
-            raise ProtocolError("advance requires a numeric 't'", tenant=tenant)
+        if (
+            not isinstance(t, (int, float))
+            or isinstance(t, bool)
+            or not math.isfinite(t)
+        ):
+            raise ProtocolError(
+                "advance requires a finite numeric 't'", tenant=tenant
+            )
     return obj
 
 
@@ -196,6 +203,8 @@ def job_from_op(op: dict[str, Any]) -> Job:
     (relative to arrival).  Field validation (non-negative arrival,
     positive finite length, window sanity) is the Job constructor's —
     its :class:`InvalidJobError` is re-raised as :class:`ProtocolError`.
+    ``deadline + length`` must be finite too: it bounds every time the
+    engine can reach for this job, so no run ends at infinity.
     """
     tenant = op.get("tenant")
     job_id = op.get("id")
@@ -234,17 +243,31 @@ def job_from_op(op: dict[str, Any]) -> Job:
     size = _num("size", 1.0)
     assert size is not None
     try:
-        return Job(
+        job = Job(
             id=job_id, arrival=arrival, deadline=deadline,
             length=length, size=size,
         )
     except InvalidJobError as exc:
         raise ProtocolError(str(exc), tenant=tenant) from None
+    if not math.isfinite(deadline + length):
+        raise ProtocolError(
+            f"job {job_id}: deadline + length overflows to infinity",
+            tenant=tenant,
+        )
+    return job
+
+
+#: Strict JSON: ``NaN`` and ``Infinity`` raise instead of reaching the
+#: wire.  One shared encoder skips ``json.dumps``'s per-call setup.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
 
 def encode_record(record: dict[str, Any]) -> bytes:
-    """One output record as a JSONL-encoded line (trailing newline)."""
-    return (json.dumps(record, separators=(",", ":")) + "\n").encode("utf-8")
+    """One output record as a JSONL-encoded line (trailing newline).
+
+    Raises :class:`ValueError` on a non-finite float.
+    """
+    return (_ENCODER.encode(record) + "\n").encode("utf-8")
 
 
 def error_record(

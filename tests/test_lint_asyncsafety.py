@@ -216,7 +216,7 @@ class TestShippedTree:
         reachable = set(model.reachable)
         assert "repro.serve.daemon.ServeDaemon._tenant_loop" in reachable
         assert "repro.serve.daemon.ServeDaemon._on_connection" in reachable
-        assert "repro.serve.daemon._Connection._write_loop" in reachable
+        assert "repro.serve.daemon._Connection.send" in reachable
         assert "repro.serve.checkpoint.save_checkpoint" in model.blocking
         assert not reachable & set(model.blocking)
 

@@ -10,13 +10,20 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import socket
+import threading
 
 import pytest
 
 from repro.cli import main
-from repro.serve.checkpoint import list_checkpoints, restore_session
-from repro.serve.daemon import ServeDaemon
+from repro.serve import daemon as daemon_module
+from repro.serve.checkpoint import (
+    list_checkpoints,
+    restore_session,
+    save_checkpoint,
+)
+from repro.serve.daemon import ServeDaemon, _Connection
 from repro.serve.session import TenantSession
 
 TIMEOUT = 60.0
@@ -96,10 +103,26 @@ async def hard_kill(daemon, task):
     """Simulate SIGKILL: cancel everything, flush nothing."""
     tasks = [task]
     tasks += [state.task for state in daemon.tenants.values()]
-    tasks += [conn.task for conn in daemon.connections]
     for t in tasks:
         t.cancel()
     await asyncio.gather(*tasks, return_exceptions=True)
+
+
+def strict_loads(line):
+    """``json.loads`` that rejects ``NaN``/``Infinity`` like a strict
+    JSON consumer does."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(line, parse_constant=reject)
+
+
+def reference_outputs(tenant, ops, scheduler="batch+"):
+    """Per-op record lists from an in-process session: hello, then one
+    list per op."""
+    session = TenantSession(tenant, scheduler=scheduler)
+    return [session.hello()] + [session.apply(dict(op)) for op in ops]
 
 
 def job_line(tenant, jid, arrival, deadline, length=1.0):
@@ -292,6 +315,41 @@ class TestDaemonBadInput:
 
         run_async(scenario())
 
+    def test_non_finite_numbers_never_reach_engine_or_wire(self, tmp_path):
+        async def scenario():
+            daemon, task, sock = await start_daemon(tmp_path)
+            client = await Client.connect(sock)
+            await client.recv()  # ready
+            await client.send(job_line("t1", 0, 0.0, 2.0))
+            # json reads all three; NaN used to be a silent no-op and
+            # an infinite clock wedged the tenant for good.
+            for t in (b"NaN", b"Infinity", b"1e999"):
+                await client.send_raw(
+                    b'{"op": "advance", "tenant": "t1", "t": %s}\n' % t
+                )
+            # Finite fields whose end overflows: used to put
+            # "t":Infinity and "span":Infinity on the wire.
+            await client.send(job_line("t1", 1, 1e308, 1e308, 1e308))
+            await client.send(job_line("t1", 2, 1.0, 3.0))
+            await client.send({"op": "close", "tenant": "t1"})
+            records = []
+            while not records or records[-1]["kind"] != "serve.closed":
+                line = await asyncio.wait_for(
+                    client.reader.readline(), timeout=10.0
+                )
+                assert line, f"EOF before serve.closed; saw {records[-5:]}"
+                records.append(strict_loads(line))
+            errors = [r for r in records if r["kind"] == "serve.error"]
+            assert len(errors) == 4
+            assert all(r["tenant"] == "t1" for r in errors)
+            closed = records[-1]
+            assert closed["jobs"] == 2  # the tenant kept scheduling
+            assert math.isfinite(closed["span"])
+            await client.close()
+            await stop_daemon(daemon, task)
+
+        run_async(scenario())
+
 
 class TestDaemonBackpressure:
     def test_stalled_consumer_bounds_daemon_memory(self, tmp_path):
@@ -344,7 +402,6 @@ class TestDaemonBackpressure:
             assert daemon.lines_in < N  # intake genuinely stalled
             state = daemon.tenants["t1"]
             assert state.queue.qsize() <= 4
-            assert conn.out.qsize() <= 4
             assert conn._writer.transport.get_write_buffer_size() < 65536
 
             # Resume consuming: everything drains, nothing was lost.
@@ -537,6 +594,49 @@ class TestDaemonRestore:
 
         run_async(scenario())
 
+    def test_restore_completes_before_listening(self, tmp_path, monkeypatch):
+        ckpt = tmp_path / "ckpt"
+        session = TenantSession("t1")
+        session.hello()
+        session.apply(job_line("t1", 0, 0.0, 5.0))
+        save_checkpoint(session, ckpt)
+        entered, release = threading.Event(), threading.Event()
+        restore_all = daemon_module.restore_all
+
+        def gated_restore(directory):
+            entered.set()
+            release.wait(TIMEOUT)
+            return restore_all(directory)
+
+        monkeypatch.setattr(daemon_module, "restore_all", gated_restore)
+
+        async def scenario():
+            daemon = ServeDaemon(checkpoint_dir=ckpt, restore=True)
+            ready = asyncio.Event()
+            daemon.on_ready = lambda address: ready.set()
+            sock = tmp_path / "serve.sock"
+            task = asyncio.create_task(daemon.run_unix(sock))
+            try:
+                assert await asyncio.to_thread(entered.wait, 10.0)
+                # Restore in flight: no socket a client could reach.
+                assert not sock.exists()
+            finally:
+                release.set()
+            await asyncio.wait_for(ready.wait(), timeout=10.0)
+            client = await Client.connect(sock)
+            assert (await client.recv())["tenants"] == ["t1"]
+            await client.send(job_line("t1", 1, 1.0, 6.0))
+            await client.send({"op": "checkpoint", "tenant": "t1"})
+            ack = (await client.recv_until(
+                lambda r: r["kind"] == "serve.checkpoint"
+            ))[-1]
+            # The restored history plus the new op: nothing replaced.
+            assert ack["ops"] == 2
+            await client.close()
+            await stop_daemon(daemon, task)
+
+        run_async(scenario())
+
     def test_restored_closed_tenant_stays_closed(self, tmp_path):
         async def scenario():
             ckpt = tmp_path / "ckpt"
@@ -569,6 +669,171 @@ class TestDaemonRestore:
         run_async(scenario())
 
 
+class TestConnectionSend:
+    """``_Connection.send`` over a recording writer: one write and one
+    drain per op, strict JSON only, nothing written once dead."""
+
+    class Writer:
+        def __init__(self, fail=False):
+            self.fail = fail
+            self.writes = []
+            self.drains = 0
+
+        def write(self, data):
+            if self.fail:
+                raise ConnectionResetError("consumer went away")
+            self.writes.append(data)
+
+        async def drain(self):
+            self.drains += 1
+
+    def test_one_write_and_one_drain_per_op(self):
+        daemon, writer = ServeDaemon(), self.Writer()
+        conn = _Connection(daemon, writer)
+        records = [
+            {"kind": "start", "tenant": "t1", "job": j, "t": float(j)}
+            for j in range(3)
+        ]
+        asyncio.run(conn.send(records))
+        assert len(writer.writes) == 1 and writer.drains == 1
+        assert [json.loads(line) for line in writer.writes[0].splitlines()] \
+            == records
+        assert daemon.records_out == 3
+
+    def test_op_without_records_writes_nothing(self):
+        daemon, writer = ServeDaemon(), self.Writer()
+        asyncio.run(_Connection(daemon, writer).send([]))
+        assert writer.writes == [] and writer.drains == 0
+
+    def test_unencodable_record_becomes_serve_error(self):
+        daemon, writer = ServeDaemon(), self.Writer()
+        conn = _Connection(daemon, writer)
+        records = [
+            {"kind": "start", "tenant": "t1", "job": 0, "t": 1.0},
+            {"kind": "serve.closed", "tenant": "t1", "span": math.inf},
+        ]
+        asyncio.run(conn.send(records))
+        (data,) = writer.writes
+        first, second = (strict_loads(line) for line in data.splitlines())
+        assert first == records[0]
+        assert second["kind"] == "serve.error"
+        assert second["tenant"] == "t1"
+        assert daemon.errors == 1
+
+    def test_dead_connection_drops_records(self):
+        daemon, writer = ServeDaemon(), self.Writer(fail=True)
+        conn = _Connection(daemon, writer)
+        record = {"kind": "serve.bye", "tenants": 0}
+        asyncio.run(conn.send([record]))
+        assert conn.dead
+        writer.fail = False
+        asyncio.run(conn.send([record]))
+        assert writer.writes == [] and daemon.records_out == 0
+
+
+class TestDaemonWritePath:
+    def test_one_write_per_op_with_records(self, tmp_path):
+        ops = [{"op": "open", "tenant": "t1", "scheduler": "batch"}]
+        ops += [job_line("t1", i, float(i), i + 1.0, 0.5) for i in range(6)]
+        ops += [{"op": "close", "tenant": "t1"}]
+        per_op = reference_outputs("t1", ops[1:], scheduler="batch")
+
+        async def scenario():
+            daemon, task, sock = await start_daemon(tmp_path)
+            client = await Client.connect(sock)
+            await client.recv()  # ready
+            (conn,) = daemon.connections
+            writes = []
+            write = conn._writer.write
+
+            def counting_write(data):
+                writes.append(data)
+                write(data)
+
+            conn._writer.write = counting_write
+            for op in ops:
+                await client.send(op)
+            seen = await client.recv_until(
+                lambda r: r["kind"] == "serve.closed"
+            )
+            assert seen == [r for outs in per_op for r in outs]
+            assert len(writes) == sum(1 for outs in per_op if outs)
+            assert len(writes) < len(seen)  # some op wrote several records
+            await client.close()
+            await stop_daemon(daemon, task)
+
+        run_async(scenario())
+
+    def test_two_tenants_wait_in_drain_on_one_stalled_connection(
+        self, tmp_path
+    ):
+        """Both tenant workers park in ``drain()`` on the same stalled
+        connection; on resume every record arrives, in per-tenant
+        order."""
+        N = 300
+        tenants = ("a", "b")
+        ops = {
+            t: [job_line(t, i, float(i), i + 1.0, 0.5) for i in range(N)]
+            + [{"op": "close", "tenant": t}]
+            for t in tenants
+        }
+        expected = {
+            t: [r for outs in reference_outputs(t, ops[t]) for r in outs]
+            for t in tenants
+        }
+
+        async def scenario():
+            daemon, task, sock = await start_daemon(
+                tmp_path, queue_size_override=4, max_line_override=256
+            )
+            client = await Client.connect(sock, limit=1024)
+            await client.recv()  # ready
+            (conn,) = daemon.connections
+            raw = conn._writer.get_extra_info("socket")
+            raw.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            conn._writer.transport.set_write_buffer_limits(high=2048)
+            waiting = 0
+            drain = conn._writer.drain
+
+            async def counting_drain():
+                nonlocal waiting
+                waiting += 1
+                try:
+                    await drain()
+                finally:
+                    waiting -= 1
+
+            conn._writer.drain = counting_drain
+
+            async def produce():
+                for i in range(N + 1):
+                    for t in tenants:
+                        await client.send(ops[t][i])
+
+            producer = asyncio.create_task(produce())
+            for _ in range(1000):
+                if waiting == 2:
+                    break
+                await asyncio.sleep(0.01)
+            assert waiting == 2  # both workers wait in drain() at once
+            assert all(daemon.tenants[t].queue.qsize() <= 4 for t in tenants)
+
+            seen = {t: [] for t in tenants}
+            closed = set()
+            while closed != set(tenants):
+                rec = await client.recv()
+                assert rec is not None
+                seen[rec["tenant"]].append(rec)
+                if rec["kind"] == "serve.closed":
+                    closed.add(rec["tenant"])
+            await producer
+            assert seen == expected
+            await client.close()
+            await stop_daemon(daemon, task)
+
+        run_async(scenario())
+
+
 class TestDaemonWriterFailure:
     def test_dead_consumer_does_not_wedge_workers(self, tmp_path):
         async def scenario():
@@ -581,8 +846,8 @@ class TestDaemonWriterFailure:
             # Abruptly drop the connection reader AND writer.
             client.writer.transport.abort()
             # The daemon must keep applying ops for the tenant via a new
-            # connection (the old writer marks itself dead but keeps
-            # consuming its queue).
+            # connection (the old connection marks itself dead and drops
+            # the records still addressed to it).
             client2 = await Client.connect(sock)
             await client2.recv()  # ready
             await client2.send(job_line("t2", 0, 0.0, 2.0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -104,6 +105,14 @@ class TestParseOp:
             parse_op('{"op": "advance", "tenant": "t", "t": 3}')["t"] == 3
         )
 
+    @pytest.mark.parametrize("t", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_advance_rejects_non_finite_t(self, t):
+        # json parses all four (1e999 overflows to inf); a NaN advance
+        # used to do nothing and an infinite one wedged the tenant.
+        with pytest.raises(ProtocolError, match="finite") as exc:
+            parse_op('{"op": "advance", "tenant": "t", "t": %s}' % t)
+        assert exc.value.tenant == "t"
+
     def test_error_carries_tenant_when_known(self):
         with pytest.raises(ProtocolError) as exc:
             parse_op('{"op": "advance", "tenant": "t9"}')
@@ -173,6 +182,15 @@ class TestJobFromOp:
             job_from_op(self._op(length=-1.0))
 
 
+    def test_overflowing_deadline_plus_length_rejected(self):
+        # Every field is finite, but the job could end at infinity.
+        with pytest.raises(ProtocolError, match="infinity") as exc:
+            job_from_op(self._op(arrival=1e308, deadline=1e308, length=1e308))
+        assert exc.value.tenant == "t"
+        job = job_from_op(self._op(arrival=1e307, deadline=1e307, length=1e307))
+        assert job.deadline + job.length == 2e307
+
+
 class TestEnvKnobs:
     def test_defaults(self, monkeypatch):
         for env in (QUEUE_ENV, MAX_LINE_ENV, CHECKPOINT_EVERY_ENV):
@@ -216,6 +234,17 @@ class TestRecords:
         assert line.endswith(b"\n")
         assert b" " not in line.strip()
         assert json.loads(line) == {"kind": "start", "t": 1.0}
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_encode_record_rejects_non_finite(self, value):
+        with pytest.raises(ValueError):
+            encode_record({"kind": "serve.closed", "span": value})
+
+    def test_encode_record_matches_json_dumps(self):
+        record = {"kind": "start", "tenant": "t\u00e9", "job": 3, "t": 0.1}
+        assert encode_record(record) == (
+            json.dumps(record, separators=(",", ":")) + "\n"
+        ).encode("utf-8")
 
     def test_error_record_shape(self):
         rec = error_record("boom", tenant="t1", op="job")

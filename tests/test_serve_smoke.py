@@ -245,6 +245,65 @@ def test_stdio_mode_single_session(tmp_path):
     assert "drained: 1 tenant(s)" in proc.stderr
 
 
+def test_stdio_eof_without_close_drains_the_tail(tmp_path):
+    # ``--stdio < jobs.jsonl`` with no ``close``: EOF drains like
+    # SIGTERM, and the drain's implicit close answers on stdout.
+    ops = [job_op("t1", 0, 0.0, 2.0), job_op("t1", 1, 0.5, 3.0)]
+    session = TenantSession("t1")
+    reference = list(session.hello())
+    for op in ops:
+        reference += session.apply(dict(op))
+    reference += session.apply(
+        {"op": "close", "tenant": "t1", "reason": "drain"}
+    )
+    lines = "".join(json.dumps(op) + "\n" for op in ops)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--stdio"],
+        cwd=REPO, env=_env(), input=lines, capture_output=True, text=True,
+        timeout=TIMEOUT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert records[0]["kind"] == "serve.ready"
+    assert records[1:] == reference
+    assert reference[-1]["kind"] == "serve.closed"
+
+
+def test_stdio_slow_consumer_gets_the_whole_tail(tmp_path):
+    # The consumer reads slower than the daemon writes, so output is
+    # still buffered in the daemon when the drain closes stdout: the
+    # close must flush it before the process exits.
+    ops = [
+        job_op(tenant, i, float(i), i + 1.0, 0.5)
+        for i in range(1000)
+        for tenant in ("a", "b")
+    ]
+    in_path = tmp_path / "jobs.jsonl"
+    in_path.write_text("".join(json.dumps(op) + "\n" for op in ops))
+    with in_path.open("rb") as fin:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--stdio"],
+            cwd=REPO, env=_env(), stdin=fin, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+    try:
+        data = bytearray()
+        while chunk := proc.stdout.read1(4096):
+            data += chunk
+            time.sleep(0.02)
+        err = proc.stderr.read()
+        assert proc.wait(timeout=TIMEOUT) == 0, err
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate(timeout=TIMEOUT)
+    records = [json.loads(line) for line in data.splitlines()]
+    sent = int(err.split(b"record(s) out")[0].split()[-1])
+    assert len(records) == sent
+    closed = [r["tenant"] for r in records if r["kind"] == "serve.closed"]
+    assert sorted(closed) == ["a", "b"]
+
+
 def test_stdio_mode_with_regular_file_redirection(tmp_path):
     # ``repro serve --stdio < jobs.jsonl > out.jsonl`` hands the daemon
     # regular files, which asyncio's pipe transports reject outright
