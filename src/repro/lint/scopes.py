@@ -29,8 +29,8 @@ __all__ = [
 #: line: its only legitimate output channels are the asyncio stream
 #: writers (protocol records) and the structured recorder — a stray
 #: print would interleave with the JSONL protocol stream itself.
-#: ``repro/obs/live.py`` rides along: the live telemetry plane is fed
-#: once per record from the serve sessions' collect loop.
+#: ``repro/obs/live.py`` rides along: the serve sessions' recorders
+#: feed the live telemetry plane once per engine record.
 HOT_PATH_FRAGMENTS = (
     "repro/core/",
     "repro/schedulers/",

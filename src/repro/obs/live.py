@@ -53,7 +53,7 @@ Knobs
 -----
 ``REPRO_TELEMETRY``
     Arms (default) or disarms the daemon's live aggregation; disarmed,
-    sessions skip the per-record feed entirely.
+    session recorders skip the telemetry feed entirely.
 ``REPRO_TELEMETRY_ADDR``
     ``host:port`` for the daemon's read-only telemetry listener
     (equivalent to ``repro serve --telemetry``); unset means no
@@ -181,13 +181,19 @@ class OnlineOptLowerBound:
 
 
 class TenantTelemetry:
-    """One tenant's live aggregates, fed one :class:`ObsRecord` at a time.
+    """One tenant's live aggregates, fed one engine record at a time.
 
-    The serve session calls the ``_handle_*`` methods directly from its
-    per-op collect loop (they are inside the RL011/RL012 hot-section
-    lint scope: no stdio, no per-job object materialisation);
-    :meth:`observe` is the generic record-dispatch entry used by trace
-    replay (``repro obs explain`` / ``summarize``) and tests.
+    Two feeds reach the same ``_handle_*`` handlers (inside the
+    RL011/RL012 hot-section lint scope: no stdio, no per-job object
+    materialisation):
+
+    * live — a serve session's
+      :class:`~repro.serve.session.SessionRecorder` calls
+      :meth:`_handle_instant` / :meth:`_handle_decision` straight from
+      the engine's recorder calls, so no :class:`ObsRecord` is built;
+    * replay — :meth:`observe` dispatches one stored
+      :class:`ObsRecord` (``repro obs explain`` / ``summarize`` over a
+      finished trace, and tests).
     """
 
     __slots__ = (
@@ -274,19 +280,21 @@ class TenantTelemetry:
         counts = self.decisions
         counts[rule] = counts.get(rule, 0) + 1
 
+    def _handle_instant(self, name: str, attrs: Mapping[str, Any]) -> None:
+        """Route one engine instant; names it does not track are ignored."""
+        if name == "engine.release":
+            self._handle_release(attrs)
+        elif name == "engine.start":
+            self._handle_start(attrs)
+        elif name == "engine.completion":
+            self._handle_completion(attrs)
+
     # ------------------------------------------------------------ public api
     def observe(self, record: ObsRecord) -> None:
-        """Dispatch one structured record into the aggregates."""
-        kind = record.kind
-        if kind == KIND_INSTANT:
-            name = record.name
-            if name == "engine.release":
-                self._handle_release(record.attrs)
-            elif name == "engine.start":
-                self._handle_start(record.attrs)
-            elif name == "engine.completion":
-                self._handle_completion(record.attrs)
-        elif kind == KIND_DECISION:
+        """Dispatch one stored record into the aggregates (replay feed)."""
+        if record.kind == KIND_INSTANT:
+            self._handle_instant(record.name, record.attrs)
+        elif record.kind == KIND_DECISION:
             self._handle_decision(record.name)
 
     @property

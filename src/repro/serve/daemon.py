@@ -15,6 +15,10 @@ memory: no tenant queue holds more than its bound, the transport's flow
 control caps the output buffer, and the line reader buffers at most one
 oversized line.
 
+Each session's recorder is its one record path (see
+:mod:`repro.serve.session`): records are kept for trace files only
+when the daemon has a ``trace_dir``.
+
 Shutdown is graceful by default: ``SIGTERM``/``SIGINT`` (or an in-band
 ``shutdown`` op) stops intake, applies every already-queued op, closes
 every open session (forcing the engine's deadline backstops so every
@@ -26,7 +30,9 @@ terminates; the checkpoints are written *before* the output flush, so
 recovery never depends on the consumer.  ``SIGKILL`` recovery rides the
 periodic checkpoints instead: restart with ``--restore`` and every
 tenant replays its op log, suppressing already-delivered outputs
-(:mod:`repro.serve.checkpoint`).
+(:mod:`repro.serve.checkpoint`).  The replay feeds telemetry and traces
+as it goes, so a restored daemon reports what the uninterrupted one
+would have.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import threading
 from pathlib import Path
 from typing import Any, BinaryIO, Callable
 
-from ..obs.live import LiveAggregator, TenantTelemetry, telemetry_enabled
+from ..obs.live import LiveAggregator, telemetry_enabled
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import TraceRecorder
 from ..obs.records import ObsRecord
@@ -221,8 +227,9 @@ class ServeDaemon:
         Directory for per-tenant checkpoints (no checkpointing when
         ``None``).
     trace_dir:
-        Directory closed tenants write their obs traces into (no traces
-        when ``None``).
+        Directory closed tenants write their obs traces into.  Only
+        then do sessions keep a :class:`~repro.obs.recorder.TraceRecorder`;
+        ``None`` means no traces and no stored records.
     restore:
         Restore every checkpointed tenant from ``checkpoint_dir`` before
         accepting connections.
@@ -267,8 +274,8 @@ class ServeDaemon:
         self.on_ready: Callable[[str], None] | None = None
 
         armed = telemetry_enabled() if telemetry is None else telemetry
-        #: Live telemetry plane (``None`` when disarmed — sessions then
-        #: skip the per-record feed entirely).
+        #: Live telemetry plane (``None`` when disarmed — session
+        #: recorders then skip the telemetry feed entirely).
         self.live: LiveAggregator | None = LiveAggregator() if armed else None
         self.telemetry_listen = telemetry_listen
         self.telemetry_server: TelemetryServer | None = None
@@ -349,16 +356,15 @@ class ServeDaemon:
         if self.restore and self.checkpoint_dir is not None:
             # Restore is file I/O plus a full op-log replay per tenant:
             # run it off the loop thread so a big checkpoint directory
-            # cannot stall the first connection (RL017).
-            restored = await asyncio.to_thread(restore_all, self.checkpoint_dir)
+            # cannot stall the first connection (RL017).  The replay
+            # feeds telemetry and traces like the live stream did.
+            restored = await asyncio.to_thread(
+                restore_all,
+                self.checkpoint_dir,
+                live=self.live,
+                trace=self.trace_dir is not None,
+            )
             for name, session in restored.items():
-                if self.live is not None:
-                    # The replay ran without telemetry; backfill it from
-                    # the regenerated records, then arm the live feed.
-                    telemetry = self.live.tenant(name)
-                    for record in session.recorder.records:
-                        telemetry.observe(record)
-                    session.telemetry = telemetry
                 self.tenants[name] = _TenantState(self, name, session=session)
         if self.live is not None and self.telemetry_listen is not None:
             self.telemetry_server = TelemetryServer(self)
@@ -556,12 +562,7 @@ class ServeDaemon:
                 raise ProtocolError(
                     "open 'params' must be an object", tenant=state.name
                 )
-            state.session = TenantSession(
-                state.name,
-                scheduler=scheduler,
-                params=params,
-                telemetry=self._tenant_telemetry(state.name),
-            )
+            state.session = self._new_session(state.name, scheduler, params)
             return state.session.hello()
         if kind == "checkpoint":
             if state.session is None:
@@ -591,11 +592,7 @@ class ServeDaemon:
                 raise ProtocolError(
                     f"tenant {state.name!r} is not open", tenant=state.name
                 )
-            session = TenantSession(
-                state.name,
-                scheduler=self.default_scheduler,
-                telemetry=self._tenant_telemetry(state.name),
-            )
+            session = self._new_session(state.name, self.default_scheduler)
             state.session = session
             outs.extend(session.hello())
         outs.extend(session.apply(op))
@@ -604,13 +601,15 @@ class ServeDaemon:
                 trace_path = await asyncio.to_thread(
                     session.write_trace, self.trace_dir
                 )
-                outs.append(
-                    {
-                        "kind": "serve.trace",
-                        "tenant": state.name,
-                        "path": trace_path,
-                    }
-                )
+                trace_record: dict[str, Any] = {
+                    "kind": "serve.trace",
+                    "tenant": state.name,
+                    "path": trace_path,
+                }
+                dropped = session.recorder.records_dropped
+                if dropped:
+                    trace_record["records_dropped"] = dropped
+                outs.append(trace_record)
             if self.checkpoint_dir is not None:
                 await asyncio.to_thread(
                     save_checkpoint, session, self.checkpoint_dir
@@ -625,8 +624,17 @@ class ServeDaemon:
             )
         return outs
 
-    def _tenant_telemetry(self, name: str) -> TenantTelemetry | None:
-        return self.live.tenant(name) if self.live is not None else None
+    def _new_session(
+        self, name: str, scheduler: str, params: dict[str, Any] | None = None
+    ) -> TenantSession:
+        """A session wired to this daemon's telemetry and trace setting."""
+        return TenantSession(
+            name,
+            scheduler=scheduler,
+            params=params,
+            telemetry=self.live.tenant(name) if self.live is not None else None,
+            trace=self.trace_dir is not None,
+        )
 
     def telemetry_snapshot(self) -> dict[str, Any]:
         """The full live-telemetry snapshot (``stats`` op / listener).
@@ -748,33 +756,32 @@ class ServeDaemon:
     def _write_merged_trace(self) -> str | None:
         """Write every session's records as one tenant-tagged trace.
 
-        Each session's recorder has its own wall-clock epoch; records
+        Each session's trace has its own wall-clock epoch; records
         are shifted onto the earliest epoch and re-sorted so the merged
         timeline is globally consistent.  Metrics registries merge
         additively.  Runs in a worker thread (file I/O, RL017).
         """
-        sessions = [
-            state.session
-            for _, state in sorted(self.tenants.items())
-            if state.session is not None
-        ]
-        if not sessions or self.trace_dir is None:
+        traces: dict[str, TraceRecorder] = {}
+        for name, state in sorted(self.tenants.items()):
+            session = state.session
+            if session is not None and session.recorder.trace is not None:
+                traces[name] = session.recorder.trace
+        if not traces or self.trace_dir is None:
             return None
-        total = sum(len(s.recorder.records) for s in sessions)
+        total = sum(len(trace.records) for trace in traces.values())
         merged = TraceRecorder(max_records=total + 1)
-        base = min(s.recorder.epoch for s in sessions)
+        base = min(trace.epoch for trace in traces.values())
         rows: list[ObsRecord] = []
-        for session in sessions:
-            recorder = session.recorder
-            shift = recorder.epoch - base
-            for record in recorder.records:
+        for trace in traces.values():
+            shift = trace.epoch - base
+            for record in trace.records:
                 rows.append(
                     ObsRecord(
                         record.ts + shift, record.kind, record.name,
                         record.attrs,
                     )
                 )
-            merged.merge_metrics(recorder.metrics_snapshot())
+            merged.merge_metrics(trace.metrics_snapshot())
         rows.sort(key=lambda record: record.ts)
         merged.records = rows
         merged.epoch = base
@@ -782,7 +789,7 @@ class ServeDaemon:
             self.trace_dir / MERGED_TRACE_NAME,
             command="serve",
             merged=True,
-            tenants=[s.tenant for s in sessions],
+            tenants=list(traces),
         )
 
     async def _drain_watchdog(self) -> None:

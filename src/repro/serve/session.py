@@ -2,11 +2,21 @@
 
 A :class:`TenantSession` wraps one object-core
 :class:`~repro.core.engine.Simulator` opened with
-:meth:`~repro.core.engine.Simulator.start_stream`, plus the
-:class:`~repro.obs.recorder.TraceRecorder` that captures its structured
-records.  The daemon feeds it validated protocol ops one at a time;
-:meth:`apply` advances the engine and returns the *new* output records
-(starts, decisions, completions) that op produced, in engine order.
+:meth:`~repro.core.engine.Simulator.start_stream`.  The daemon feeds it
+validated protocol ops one at a time; :meth:`TenantSession.apply`
+advances the engine and returns the *new* output records (starts,
+decisions, completions) that op produced, in engine order.
+
+One record path
+---------------
+The session's :class:`SessionRecorder` is the engine's recorder and
+the only path a record takes.  Each ``engine.start`` /
+``engine.completion`` instant and each scheduler ``decision`` becomes a
+protocol dict in the current op's output list, and feeds the tenant's
+live :class:`~repro.obs.live.TenantTelemetry` in the same call.  Only a
+session built with ``trace=True`` (the daemon's ``--trace-dir``) also
+forwards every call to a :class:`~repro.obs.recorder.TraceRecorder`;
+untraced, the session keeps no per-record state at all.
 
 Replayable by construction
 --------------------------
@@ -26,7 +36,9 @@ ids) are raised before the engine mutates anything — the session stays
 live and the daemon answers with a ``serve.error`` record.  An error
 escaping mid-dispatch (e.g. a scheduler violating the FJS contract)
 poisons the session: it is marked failed and rejects further ops, while
-its op log still restores cleanly to the last successful op.
+its op log still restores cleanly to the last successful op.  The
+records that op produced before it failed have already reached the
+telemetry (and any trace), but never the wire.
 """
 
 from __future__ import annotations
@@ -38,15 +50,82 @@ from ..core.engine import SimulationResult, Simulator
 from ..core.errors import SimulationError
 from ..core.job import Instance
 from ..obs.live import TenantTelemetry
-from ..obs.records import KIND_DECISION, KIND_INSTANT
-from ..obs.recorder import TraceRecorder
+from ..obs.recorder import Recorder, TraceRecorder
+from ..obs.records import ObsRecord
 from ..schedulers.registry import make_scheduler
 from .protocol import DEFAULT_SCHEDULER, ProtocolError, job_from_op
 
-__all__ = ["TenantSession"]
+__all__ = ["SessionRecorder", "TenantSession"]
 
 #: Ops :meth:`TenantSession.apply` accepts (the stream-mutating subset).
 _STREAM_OPS = frozenset({"job", "advance", "close"})
+
+#: Engine instants that go on the wire, and their protocol ``kind``.
+_WIRE_KINDS = {"engine.start": "start", "engine.completion": "complete"}
+
+
+class SessionRecorder(Recorder):
+    """The engine's recorder for one session (see module docstring).
+
+    ``out`` is the current op's protocol record list (the session swaps
+    in a fresh one per op); ``telemetry`` and ``trace`` are optional
+    consumers fed in the same call.
+    """
+
+    enabled = True
+
+    def __init__(
+        self,
+        tenant: str,
+        telemetry: TenantTelemetry | None = None,
+        trace: TraceRecorder | None = None,
+    ) -> None:
+        self.tenant = tenant
+        self.telemetry = telemetry
+        self.trace = trace
+        self.out: list[dict[str, Any]] = []
+        if trace is not None:
+            # Spans and metrics only matter to the trace file: bind them
+            # straight to it.  Untraced, the inherited no-ops stay.
+            for method in ("span", "counter_add", "gauge_set",
+                           "histogram_observe"):
+                setattr(self, method, getattr(trace, method))
+
+    @property
+    def records(self) -> list[ObsRecord]:
+        """The trace's stored records (empty when untraced)."""
+        return self.trace.records if self.trace is not None else []
+
+    @property
+    def records_dropped(self) -> int:
+        """Records the trace dropped at its ``max_records`` cap."""
+        if self.trace is None:
+            return 0
+        return int(self.trace.metrics.counters.get("obs.records_dropped", 0))
+
+    def instant(self, name: str, **attrs: Any) -> None:
+        kind = _WIRE_KINDS.get(name)
+        if kind is not None:
+            self.out.append(
+                {"kind": kind, "tenant": self.tenant,
+                 "job": attrs["job"], "t": attrs["t"]}
+            )
+        if self.telemetry is not None:
+            self.telemetry._handle_instant(name, attrs)
+        if self.trace is not None:
+            self.trace.instant(name, **attrs)
+
+    def decision(
+        self, rule: str, *, job: int, t: float, scheduler: str, **attrs: Any
+    ) -> None:
+        self.out.append(
+            {"kind": "decision", "tenant": self.tenant, "rule": rule,
+             **attrs, "job": job, "t": t, "scheduler": scheduler}
+        )
+        if self.telemetry is not None:
+            self.telemetry._handle_decision(rule)
+        if self.trace is not None:
+            self.trace.decision(rule, job=job, t=t, scheduler=scheduler, **attrs)
 
 
 class TenantSession:
@@ -64,9 +143,13 @@ class TenantSession:
         Number of regenerated output records to swallow before emitting
         (checkpoint restore only — they were delivered pre-crash).
     telemetry:
-        Live :class:`~repro.obs.live.TenantTelemetry` to feed from the
-        per-op collect loop (``None``, the default, costs nothing —
-        the daemon arms it when ``REPRO_TELEMETRY`` is on).
+        Live :class:`~repro.obs.live.TenantTelemetry` the recorder feeds
+        as the engine emits (``None``, the default, costs nothing — the
+        daemon arms it when ``REPRO_TELEMETRY`` is on).
+    trace:
+        Also keep a :class:`~repro.obs.recorder.TraceRecorder` for
+        :meth:`write_trace` (the daemon sets it when it has a
+        ``trace_dir``).
     """
 
     def __init__(
@@ -77,9 +160,9 @@ class TenantSession:
         params: dict[str, Any] | None = None,
         suppress: int = 0,
         telemetry: TenantTelemetry | None = None,
+        trace: bool = False,
     ) -> None:
         self.tenant = tenant
-        self.telemetry = telemetry
         self.scheduler_name = scheduler
         self.params: dict[str, Any] = dict(params or {})
         try:
@@ -93,7 +176,11 @@ class TenantSession:
         self.clairvoyant = bool(
             getattr(type(sched), "requires_clairvoyance", False)
         )
-        self.recorder = TraceRecorder(tag={"tenant": tenant})
+        self.recorder = SessionRecorder(
+            tenant,
+            telemetry,
+            TraceRecorder(tag={"tenant": tenant}) if trace else None,
+        )
         self.sim = Simulator(
             sched,
             instance=Instance([], name=f"serve/{tenant}"),
@@ -107,7 +194,6 @@ class TenantSession:
         #: Output records generated so far (delivered + restore-suppressed).
         self.emitted = 0
         self._suppress = int(suppress)
-        self._rec_idx = len(self.recorder.records)
         self.closed = False
         self.failed: str | None = None
         self.result: SimulationResult | None = None
@@ -157,7 +243,8 @@ class TenantSession:
             raise ProtocolError(
                 f"op {kind!r} is not a stream op", tenant=self.tenant
             )
-        outs: list[dict[str, Any]]
+        outs: list[dict[str, Any]] = []
+        self.recorder.out = outs  # the engine appends this op's records
         if kind == "job":
             job = job_from_op(op)  # validation only; no engine mutation yet
             self.sim.feed([job])  # rejects past arrivals / duplicate ids
@@ -167,15 +254,12 @@ class TenantSession:
             # (arrivals before deadlines) is preserved for jobs fed one
             # protocol line at a time.
             self._dispatch(job.arrival, inclusive=False)
-            outs = self._collect()
         elif kind == "advance":
             self._dispatch(float(op["t"]), inclusive=True)
-            outs = self._collect()
         else:  # close
             result = self._finish_dispatch()
             self.closed = True
             self.result = result
-            outs = self._collect()
             outs.append(
                 {
                     "kind": "serve.closed",
@@ -194,9 +278,13 @@ class TenantSession:
 
         The trace of a *closed* session reconciles under
         ``repro obs explain --strict`` exactly like a batch run's.
+        Raises ``ValueError`` on a session built without ``trace=True``.
         """
+        trace = self.recorder.trace
+        if trace is None:
+            raise ValueError(f"tenant {self.tenant!r} was opened untraced")
         path = Path(directory) / f"{self.tenant}.trace.jsonl"
-        return self.recorder.write_jsonl(
+        return trace.write_jsonl(
             path,
             command="serve",
             tenant=self.tenant,
@@ -229,14 +317,21 @@ class TenantSession:
 
     @classmethod
     def restore(
-        cls, meta: dict[str, Any], ops: list[dict[str, Any]]
+        cls,
+        meta: dict[str, Any],
+        ops: list[dict[str, Any]],
+        *,
+        telemetry: TenantTelemetry | None = None,
+        trace: bool = False,
     ) -> "TenantSession":
         """Rebuild a session by replaying its checkpointed op log.
 
         The first ``meta["emitted"]`` regenerated output records are
         suppressed (already delivered before the crash); everything the
         restored session emits afterwards is bit-identical to what the
-        uninterrupted session would have emitted.
+        uninterrupted session would have emitted.  ``telemetry`` and
+        ``trace`` are fed by the replay itself, exactly as by the
+        uninterrupted session.
         """
         emitted = int(meta.get("emitted", 0))
         session = cls(
@@ -244,6 +339,8 @@ class TenantSession:
             scheduler=str(meta.get("scheduler", DEFAULT_SCHEDULER)),
             params=dict(meta.get("params") or {}),
             suppress=emitted,
+            telemetry=telemetry,
+            trace=trace,
         )
         session.hello()
         for op in ops:
@@ -278,50 +375,6 @@ class TenantSession:
         except Exception as exc:
             self.failed = f"{type(exc).__name__}: {exc}"
             raise
-
-    def _collect(self) -> list[dict[str, Any]]:
-        """Map the recorder's new records to protocol output records.
-
-        The live telemetry feed piggybacks on this loop — the records
-        are already being walked once per op, so aggregation costs only
-        the accumulator updates, not a second dispatch pass.
-        """
-        records = self.recorder.records
-        new = records[self._rec_idx :]
-        self._rec_idx = len(records)
-        telemetry = self.telemetry
-        out: list[dict[str, Any]] = []
-        for record in new:
-            if telemetry is not None:
-                telemetry.observe(record)
-            if record.kind == KIND_DECISION:
-                decision: dict[str, Any] = {
-                    "kind": "decision",
-                    "tenant": self.tenant,
-                    "rule": record.name,
-                }
-                decision.update(record.attrs)
-                out.append(decision)
-            elif record.kind == KIND_INSTANT:
-                if record.name == "engine.start":
-                    out.append(
-                        {
-                            "kind": "start",
-                            "tenant": self.tenant,
-                            "job": record.attrs["job"],
-                            "t": record.attrs["t"],
-                        }
-                    )
-                elif record.name == "engine.completion":
-                    out.append(
-                        {
-                            "kind": "complete",
-                            "tenant": self.tenant,
-                            "job": record.attrs["job"],
-                            "t": record.attrs["t"],
-                        }
-                    )
-        return out
 
     def _deliver(self, outs: list[dict[str, Any]]) -> list[dict[str, Any]]:
         """Count generated outputs; swallow restore-suppressed ones."""

@@ -534,7 +534,7 @@ class TestLiveTelemetryScope:
     """RL011/RL012 cover the live telemetry plane (repro/obs/live.py).
 
     The per-record ``_handle_*`` feed runs on every armed serve
-    session's collect loop, so it is policed exactly like the engine
+    session's recorder call, so it is policed exactly like the engine
     cores — via the ``live_feed_*`` fixture pair — while the rest of
     the obs package (per-scrape rendering, CLI) stays exempt.
     """

@@ -9,6 +9,7 @@ the suite).
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import math
 import socket
@@ -17,7 +18,9 @@ import threading
 import pytest
 
 from repro.cli import main
+from repro.obs.recorder import TraceRecorder
 from repro.serve import daemon as daemon_module
+from repro.serve import session as session_module
 from repro.serve.checkpoint import (
     list_checkpoints,
     restore_session,
@@ -501,6 +504,35 @@ class TestDaemonDrain:
 
         run_async(scenario())
 
+    def test_capped_trace_reports_dropped_records(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            session_module, "TraceRecorder",
+            functools.partial(TraceRecorder, max_records=8),
+        )
+
+        async def scenario():
+            daemon, task, sock = await start_daemon(
+                tmp_path, trace_dir=tmp_path / "traces"
+            )
+            client = await Client.connect(sock)
+            await client.recv()  # ready
+            for i in range(30):
+                await client.send(job_line("t1", i, i * 0.7, i * 0.7 + 1.5))
+            await client.send({"op": "close", "tenant": "t1"})
+            seen = await client.recv_until(
+                lambda r: r["kind"] == "serve.trace"
+            )
+            # The cap limits the trace file, never the wire.
+            for kind in ("start", "complete"):
+                jobs = {r["job"] for r in seen if r["kind"] == kind}
+                assert jobs == set(range(30))
+            assert seen[-2]["kind"] == "serve.closed"
+            assert seen[-1]["records_dropped"] > 0
+            await client.close()
+            await stop_daemon(daemon, task)
+
+        run_async(scenario())
+
     def test_drain_watchdog_aborts_stalled_consumer(self, tmp_path):
         async def scenario():
             daemon, task, sock = await start_daemon(
@@ -594,6 +626,86 @@ class TestDaemonRestore:
 
         run_async(scenario())
 
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    def test_restored_telemetry_matches_uninterrupted(self, tmp_path, traced):
+        """Restore replays feed telemetry: ``stats`` after a kill and
+        ``--restore`` equals the uninterrupted daemon's, tenant by
+        tenant, both right after restore and after more ops."""
+        opens = [
+            {"op": "open", "tenant": "a", "scheduler": "batch+"},
+            {"op": "open", "tenant": "b", "scheduler": "cdb",
+             "params": {"alpha": 2.0}},
+        ]
+
+        def jobs(lo, hi):
+            return [
+                job_line(t, i, i * 0.8, i * 0.8 + 1.0 + i % 3, 1.0 + i % 4)
+                for i in range(lo, hi) for t in ("a", "b")
+            ]
+
+        pre, post = opens + jobs(0, 12), jobs(12, 24)
+
+        def daemon_dirs(name):
+            root = tmp_path / name
+            root.mkdir()
+            traces = root / "traces" if traced else None
+            return root, {"checkpoint_dir": root / "ckpt", "trace_dir": traces}
+
+        async def telemetry_after(client, ops):
+            """Apply ``ops``; barrier on a fan-out checkpoint; stats."""
+            for op in ops:
+                await client.send(op)
+            await client.send({"op": "checkpoint"})
+            acks = 0
+            while acks < 2:
+                acks += (await client.recv())["kind"] == "serve.checkpoint"
+            await client.send({"op": "stats"})
+            stats = (await client.recv_until(
+                lambda r: r["kind"] == "serve.stats"
+            ))[-1]
+            return stats["telemetry"]["tenants"]
+
+        async def scenario():
+            root, kw = daemon_dirs("ref")
+            daemon, task, sock = await start_daemon(root, **kw)
+            client = await Client.connect(sock)
+            await client.recv()  # ready
+            ref_mid = await telemetry_after(client, pre)
+            ref_end = await telemetry_after(client, post)
+            await client.close()
+            await stop_daemon(daemon, task)
+
+            root, kw = daemon_dirs("cut")
+            daemon1, task1, sock1 = await start_daemon(root, **kw)
+            client1 = await Client.connect(sock1)
+            await client1.recv()  # ready
+            assert await telemetry_after(client1, pre) == ref_mid
+            await hard_kill(daemon1, task1)  # SIGKILL: no drain, no flush
+            await client1.close()
+            sock1.unlink(missing_ok=True)
+
+            daemon2, task2, sock2 = await start_daemon(root, restore=True, **kw)
+            client2 = await Client.connect(sock2)
+            assert (await client2.recv())["tenants"] == ["a", "b"]
+            assert await telemetry_after(client2, []) == ref_mid
+            assert await telemetry_after(client2, post) == ref_end
+            for tenant in ("a", "b"):
+                await client2.send({"op": "close", "tenant": tenant})
+            # Tenants close concurrently: wait for both final records.
+            final = "serve.trace" if traced else "serve.closed"
+            seen = []
+            while sum(r["kind"] == final for r in seen) < 2:
+                seen.append(await client2.recv())
+            await client2.close()
+            await stop_daemon(daemon2, task2)
+            trace_records = [r for r in seen if r["kind"] == "serve.trace"]
+            assert len(trace_records) == (2 if traced else 0)
+            for record in trace_records:
+                assert "records_dropped" not in record
+                assert main(["obs", "explain", record["path"], "--strict"]) == 0
+
+        run_async(scenario())
+
     def test_restore_completes_before_listening(self, tmp_path, monkeypatch):
         ckpt = tmp_path / "ckpt"
         session = TenantSession("t1")
@@ -603,10 +715,10 @@ class TestDaemonRestore:
         entered, release = threading.Event(), threading.Event()
         restore_all = daemon_module.restore_all
 
-        def gated_restore(directory):
+        def gated_restore(directory, **kwargs):
             entered.set()
             release.wait(TIMEOUT)
-            return restore_all(directory)
+            return restore_all(directory, **kwargs)
 
         monkeypatch.setattr(daemon_module, "restore_all", gated_restore)
 

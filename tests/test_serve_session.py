@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.cli import main
 from repro.core.engine import simulate
 from repro.core.errors import SimulationError
 from repro.core.job import Instance
+from repro.obs.recorder import TraceRecorder
 from repro.obs.records import DECISION_RULES
+from repro.serve import session as session_module
 from repro.schedulers.registry import make_scheduler
 from repro.serve.protocol import ProtocolError
 from repro.serve.session import TenantSession
+
+
+#: The paper's online algorithms (Batch, Batch+, CDB, Profit).
+PAPER_SCHEDULERS = ("batch+", "batch", "cdb", "profit")
 
 
 def job_op(tenant, job_id, arrival, deadline, length, **extra):
@@ -78,16 +86,23 @@ class TestSessionBasics:
 
     def test_closed_record_matches_batch_span(self):
         inst = Instance.from_triples([(0, 2, 1), (0.5, 1, 3), (4, 1, 2)])
-        batch = simulate(make_scheduler("batch+"), inst, core="object")
-        session = TenantSession("t1")
-        outs = drive(
-            session, [(j.arrival, j.deadline, j.length) for j in inst.jobs]
-        )
-        closed = outs[-1]
-        assert closed["span"] == batch.span
-        assert closed["jobs"] == len(inst.jobs)
-        starts = {o["job"]: o["t"] for o in outs if o["kind"] == "start"}
-        assert starts == batch.schedule.starts()
+        triples = [(j.arrival, j.deadline, j.length) for j in inst.jobs]
+        for scheduler in PAPER_SCHEDULERS:
+            session = TenantSession("t1", scheduler=scheduler)
+            outs = drive(session, triples)
+            # Tracing adds a consumer, never a record: same outputs.
+            traced = TenantSession("t1", scheduler=scheduler, trace=True)
+            assert drive(traced, triples) == outs, scheduler
+            assert traced.recorder.records
+            batch = simulate(
+                make_scheduler(scheduler), inst, core="object",
+                clairvoyant=session.clairvoyant,
+            )
+            closed = outs[-1]
+            assert closed["span"] == batch.span, scheduler
+            assert closed["jobs"] == len(inst.jobs)
+            starts = {o["job"]: o["t"] for o in outs if o["kind"] == "start"}
+            assert starts == batch.schedule.starts(), scheduler
 
     def test_advance_op_flushes_due_events(self):
         session = TenantSession("t1")
@@ -96,6 +111,16 @@ class TestSessionBasics:
         outs = session.apply({"op": "advance", "tenant": "t1", "t": 10.0})
         assert {o["kind"] for o in outs} >= {"start", "complete"}
         assert session.clock == 10.0
+
+    @pytest.mark.parametrize("scheduler", PAPER_SCHEDULERS)
+    def test_untraced_session_keeps_no_records(self, scheduler):
+        session = TenantSession("t1", scheduler=scheduler)
+        outs = drive(
+            session, [(i * 0.5, i * 0.5 + 2.0, 1.0 + i % 3) for i in range(1000)]
+        )
+        assert sum(o["kind"] == "start" for o in outs) == 1000
+        assert session.recorder.trace is None
+        assert session.recorder.records == []
 
     def test_emitted_counts_every_output(self):
         session = TenantSession("t1")
@@ -168,7 +193,7 @@ class TestSessionFailureContainment:
 
 class TestSessionTrace:
     def test_trace_reconciles_under_strict_explain(self, tmp_path):
-        session = TenantSession("t1")
+        session = TenantSession("t1", trace=True)
         drive(session, [(0, 2, 1), (0.5, 1.5, 3), (4, 5, 2)])
         path = session.write_trace(tmp_path)
         assert main(["obs", "explain", path, "--strict"]) == 0
@@ -176,12 +201,31 @@ class TestSessionTrace:
     def test_trace_meta_identifies_session(self, tmp_path):
         from repro.obs import read_jsonl
 
-        session = TenantSession("t9", scheduler="batch")
+        session = TenantSession("t9", scheduler="batch", trace=True)
         drive(session, [(0, 2, 1)])
         loaded = read_jsonl(session.write_trace(tmp_path))
         assert loaded.meta["tenant"] == "t9"
         assert loaded.meta["scheduler"] == "batch"
         assert loaded.meta["command"] == "serve"
+
+
+class TestSessionTraceCap:
+    @pytest.mark.parametrize("scheduler", PAPER_SCHEDULERS)
+    def test_capped_trace_never_cuts_the_wire(self, scheduler, monkeypatch):
+        """A trace at its ``max_records`` cap drops trace records only."""
+        monkeypatch.setattr(
+            session_module, "TraceRecorder",
+            functools.partial(TraceRecorder, max_records=8),
+        )
+        triples = [(i * 0.7, i * 0.7 + 1.5, 1.0 + i % 4) for i in range(30)]
+        capped = TenantSession("t1", scheduler=scheduler, trace=True)
+        outs = drive(capped, triples)
+        assert outs == drive(TenantSession("t1", scheduler=scheduler), triples)
+        for kind in ("start", "complete"):
+            assert {o["job"] for o in outs if o["kind"] == kind} == set(range(30))
+        assert sum(o["kind"] == "decision" for o in outs) >= 30
+        assert len(capped.recorder.records) == 8
+        assert capped.recorder.records_dropped > 0
 
 
 class TestSessionCohortParity:
