@@ -44,9 +44,11 @@ dominant cost.  This module replaces them with a columnar layout:
     * ``DEADLINE``/``TIMER``/``ADVERSARY`` — never gathered (their
       handlers may start jobs or mutate arbitrary state per event).
 
-    When a recorder is armed the core switches to ``_run_armed``: a
-    scalar mirror of the object loop (no gathering) so per-kind event
-    counters, ``heap.pushes`` and ``heap.peak`` stay bit-identical.
+    When a recorder is armed no kind is gatherable: every event takes
+    the scalar route and bumps its per-kind counter and the heap peak,
+    exactly as in the object loop, so per-kind event counters,
+    ``heap.pushes`` and ``heap.peak`` stay bit-identical.  Either way
+    there is one loop, ``_dispatch``.
 
 Equivalence contract
 --------------------
@@ -80,6 +82,12 @@ from .trace import Trace, TraceKind
 
 from .engine import (
     _OBS_EVENT_COUNTERS,
+    _admission,
+    _begin_run,
+    _budget_error,
+    _dispatch_run,
+    _emit_release,
+    _emit_run_end,
     AdversaryResponse,
     JobView,
     SchedulerContext,
@@ -561,7 +569,6 @@ class ColumnarCore:
 
     # ------------------------------------------------------------------ run
     def run(self) -> SimulationResult:
-        obs = self._obs
         adversary = self._adversary
         if self._instance is not None:
             self._admit_jobs(list(self._instance.jobs))
@@ -575,43 +582,20 @@ class ColumnarCore:
                 self._admit_batch_cols(batch)
             else:
                 self._admit_jobs(list(adversary.initial_jobs()))
-        n_initial = self._table.n
-
-        setup = getattr(self._scheduler, "setup", None)
-        if callable(setup):
-            setup(self._ctx)
-
-        if obs is not None:
-            obs.instant(
-                "engine.run_begin",
-                scheduler=self._scheduler_name,
-                clairvoyant=self._clairvoyant,
-                adversarial=adversary is not None,
-                initial_jobs=n_initial,
-            )
-        try:
-            if obs is not None:
-                with obs.span("engine.dispatch"):
-                    self._run_armed()
-            else:
-                self._run_fast()
-        finally:
-            if obs is not None:
-                obs.counter_add(
-                    "engine.events_processed", self._events_processed
-                )
-                obs.counter_add("engine.heap.pushes", self._queue._seq)
-                obs.gauge_set("engine.heap.peak", float(self._heap_peak))
+        _begin_run(self, self._table.n, streaming=False)
+        _dispatch_run(self, self._dispatch)
         return self._finish()
 
-    def _budget_error(self) -> SimulationError:
-        return SimulationError(
-            f"event budget exceeded ({self._max_events}); "
-            "likely a scheduler/adversary live-lock"
-        )
+    def _dispatch(self) -> None:
+        """The event loop: gathers cohorts when disarmed, scalar when armed.
 
-    def _run_fast(self) -> None:
-        """The gathering hot loop (recorder disarmed)."""
+        Gathering changes heap push/pop mechanics, which an armed run
+        surfaces (per-kind counters, ``heap.pushes``, ``heap.peak``) —
+        so with a recorder armed no kind is gatherable, every event goes
+        the scalar route and the obs output stays bit-identical to the
+        object core.
+        """
+        obs = self._obs
         heap = self._queue._heap
         max_events = self._max_events
         handlers: tuple[Callable[[Any], None], ...] = (
@@ -623,21 +607,25 @@ class ColumnarCore:
             self._handle_adversary,   # 5 ADVERSARY
         )
         # Which kinds may be taken as cohorts (see module docstring).
+        disarmed = obs is None
         gatherable = (
-            True,                        # COMPLETION
-            self._adv_assign_batch,      # ASSIGN
-            self._hook_arrival is None,  # ARRIVAL
-            False,                       # DEADLINE
-            False,                       # TIMER
-            False,                       # ADVERSARY
+            disarmed,                                 # COMPLETION
+            disarmed and self._adv_assign_batch,      # ASSIGN
+            disarmed and self._hook_arrival is None,  # ARRIVAL
+            False,                                    # DEADLINE
+            False,                                    # TIMER
+            False,                                    # ADVERSARY
         )
         processed = self._events_processed
+        heap_peak = self._heap_peak
         try:
             while heap:
+                if obs is not None and len(heap) > heap_peak:
+                    heap_peak = len(heap)
                 time, kind, _seq, payload = heappop(heap)
                 processed += 1
                 if processed > max_events:
-                    raise self._budget_error()
+                    raise _budget_error(max_events)
                 if time < self._now:
                     raise SimulationError(
                         f"time went backwards: {time} < {self._now}"
@@ -660,7 +648,7 @@ class ColumnarCore:
                             break
                     processed += len(cohort) - 1
                     if processed > max_events:
-                        raise self._budget_error()
+                        raise _budget_error(max_events)
                     if kind == _ARRIVAL:
                         self._cohort_arrival(cohort)
                     elif kind == _COMPLETION:
@@ -669,48 +657,10 @@ class ColumnarCore:
                         # Inline same-time completions count as events.
                         processed += self._cohort_assign(cohort)
                         if processed > max_events:
-                            raise self._budget_error()
+                            raise _budget_error(max_events)
                     continue
-                handlers[kind](payload)
-        finally:
-            self._events_processed = processed
-
-    def _run_armed(self) -> None:
-        """Scalar mirror of the object core's armed loop (no gathering).
-
-        Gathering changes heap push/pop mechanics, which the armed loop
-        surfaces (per-kind counters, ``heap.pushes``, ``heap.peak``) —
-        so with a recorder armed every event goes the scalar route and
-        the obs output stays bit-identical to the object core.
-        """
-        obs = self._obs
-        assert obs is not None
-        heap = self._queue._heap
-        max_events = self._max_events
-        handlers: tuple[Callable[[Any], None], ...] = (
-            self._handle_completion,
-            self._handle_assign,
-            self._handle_arrival,
-            self._handle_deadline,
-            self._handle_timer,
-            self._handle_adversary,
-        )
-        processed = self._events_processed
-        heap_peak = len(heap)
-        try:
-            while heap:
-                if len(heap) > heap_peak:
-                    heap_peak = len(heap)
-                time, kind, _seq, payload = heappop(heap)
-                processed += 1
-                if processed > max_events:
-                    raise self._budget_error()
-                if time < self._now:
-                    raise SimulationError(
-                        f"time went backwards: {time} < {self._now}"
-                    )
-                self._now = time
-                obs.counter_add(_OBS_EVENT_COUNTERS[kind])
+                if obs is not None:
+                    obs.counter_add(_OBS_EVENT_COUNTERS[kind])
                 handlers[kind](payload)
         finally:
             self._events_processed = processed
@@ -762,15 +712,13 @@ class ColumnarCore:
     # ---------------------------------------------------------- admission
     def _admit_jobs(self, jobs: Sequence[Job], single: bool = False) -> None:
         """Admit validated ``Job`` objects (object-style releases)."""
-        obs = self._obs
-        if obs is not None and not single:
-            with obs.span("engine.admit_batch", n=len(jobs)):
+        if not single:
+            with _admission(self._obs, len(jobs)):
                 self._admit_jobs_inner(jobs)
-            obs.counter_add("engine.jobs_admitted", float(len(jobs)))
             return
         self._admit_jobs_inner(jobs)
-        if obs is not None:
-            obs.counter_add("engine.jobs_admitted")
+        if self._obs is not None:
+            self._obs.counter_add("engine.jobs_admitted")
 
     def _admit_jobs_inner(self, jobs: Sequence[Job]) -> None:
         table = self._table
@@ -811,36 +759,17 @@ class ColumnarCore:
                     now, TraceKind.RELEASE, jid, f"arrival={job.arrival:g}"
                 )
             if obs is not None:
-                if job.length is not None:
-                    obs.instant(
-                        "engine.release",
-                        t=now,
-                        job=jid,
-                        arrival=job.arrival,
-                        deadline=job.deadline,
-                        length=job.length,
-                    )
-                else:
-                    obs.instant(
-                        "engine.release",
-                        t=now,
-                        job=jid,
-                        arrival=job.arrival,
-                        deadline=job.deadline,
-                    )
+                _emit_release(
+                    obs, now, jid, job.arrival, job.deadline, job.length
+                )
         table.append_jobs(jobs, clairvoyant)
         self._views.extend([None] * len(jobs))
         self._push_arrivals(base, len(jobs))
 
     def _admit_batch_cols(self, batch: JobBatch) -> None:
         """Admit a columnar :class:`JobBatch` (vectorised checks)."""
-        obs = self._obs
-        if obs is not None:
-            with obs.span("engine.admit_batch", n=len(batch)):
-                self._admit_batch_cols_inner(batch)
-            obs.counter_add("engine.jobs_admitted", float(len(batch)))
-            return
-        self._admit_batch_cols_inner(batch)
+        with _admission(self._obs, len(batch)):
+            self._admit_batch_cols_inner(batch)
 
     def _admit_batch_cols_inner(self, batch: JobBatch) -> None:
         k = len(batch)
@@ -931,24 +860,10 @@ class ColumnarCore:
                         f"arrival={arrival_l[row]:g}",
                     )
                 if obs is not None:
-                    known = plen_l[row]
-                    if known is not None:
-                        obs.instant(
-                            "engine.release",
-                            t=now,
-                            job=jid,
-                            arrival=arrival_l[row],
-                            deadline=deadline_l[row],
-                            length=known,
-                        )
-                    else:
-                        obs.instant(
-                            "engine.release",
-                            t=now,
-                            job=jid,
-                            arrival=arrival_l[row],
-                            deadline=deadline_l[row],
-                        )
+                    _emit_release(
+                        obs, now, jid, arrival_l[row], deadline_l[row],
+                        plen_l[row],
+                    )
         self._push_arrivals(base, k)
 
     def _push_arrivals(self, base: int, k: int) -> None:
@@ -1602,18 +1517,7 @@ class ColumnarCore:
         obs = self._obs
         if obs is not None:
             schedule, resolved = materialize()
-            obs.gauge_set("engine.span", schedule.span)
-            obs.counter_add("engine.jobs", float(n))
-            for job in resolved:
-                assert job.length is not None
-                obs.histogram_observe("engine.job_length", job.length)
-            obs.instant(
-                "engine.run_end",
-                t=self._now,
-                span=schedule.span,
-                jobs=n,
-                events=self._events_processed,
-            )
+            _emit_run_end(obs, self._now, schedule, self._events_processed)
             return SimulationResult(
                 schedule=schedule,
                 instance=resolved,

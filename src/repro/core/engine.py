@@ -66,7 +66,16 @@ The simulator has two interchangeable cores selected by
 * ``"object"`` — the reference implementation below: one ``_JobState``
   per job, scalar dispatch.  It defines the semantics; the columnar core
   must reproduce its traces, schedules and observability output
-  bit-for-bit (enforced by ``tests/test_engine_equivalence.py``).
+  bit-for-bit (enforced by ``tests/test_engine_equivalence.py``).  A
+  batch :meth:`Simulator.run` on it takes the streaming lifecycle in one
+  go — begin (admit, ``setup``, ``engine.run_begin``), dispatch to the
+  end, dispatch totals, finish — through the same single event loop,
+  ``Simulator._dispatch``, that :meth:`Simulator.advance` drives.
+
+Each core has exactly one event loop.  Both cores begin, admit, drain
+and end a run through the module-level helpers below (``_begin_run``,
+``_admission``, ``_emit_release``, ``_dispatch_run``, ``_emit_run_end``),
+so the obs records those steps emit cannot drift between the cores.
 
 Both cores serve the same :class:`SchedulerContext`, so schedulers are
 core-agnostic; batch-family schedulers additionally use
@@ -76,13 +85,16 @@ vectorises.
 
 from __future__ import annotations
 
+import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Iterable,
+    Iterator,
     Protocol,
     Sequence,
     runtime_checkable,
@@ -164,6 +176,109 @@ _OBS_EVENT_COUNTERS = (
     "engine.events.timer",       # 4
     "engine.events.adversary",   # 5
 )
+
+
+# -- run-lifecycle and obs helpers shared by both cores ------------------
+def _emit_release(
+    obs: Recorder,
+    now: float,
+    job: int,
+    arrival: float,
+    deadline: float,
+    length: float | None,
+) -> None:
+    """``engine.release`` for one admitted job (``length`` when known)."""
+    if length is not None:
+        obs.instant(
+            "engine.release",
+            t=now,
+            job=job,
+            arrival=arrival,
+            deadline=deadline,
+            length=length,
+        )
+    else:
+        obs.instant(
+            "engine.release", t=now, job=job, arrival=arrival, deadline=deadline
+        )
+
+
+def _begin_run(core: EngineCore, initial_jobs: int, *, streaming: bool) -> None:
+    """Call the scheduler's ``setup``, then emit ``engine.run_begin``.
+
+    A stream's record also carries ``streaming=True``.
+    """
+    setup = getattr(core._scheduler, "setup", None)
+    if callable(setup):
+        setup(core._ctx)
+    obs = core._obs
+    if obs is not None:
+        attrs: dict[str, Any] = {
+            "scheduler": type(core._scheduler).__name__,
+            "clairvoyant": core._clairvoyant,
+            "adversarial": core._adversary is not None,
+            "initial_jobs": initial_jobs,
+        }
+        if streaming:
+            attrs["streaming"] = True
+        obs.instant("engine.run_begin", **attrs)
+
+
+@contextmanager
+def _admission(obs: Recorder | None, n: int) -> Iterator[None]:
+    """The ``engine.admit_batch`` span around a bulk admission of ``n``
+    jobs, then the ``engine.jobs_admitted`` count (nothing disarmed)."""
+    if obs is None:
+        yield
+        return
+    with obs.span("engine.admit_batch", n=n):
+        yield
+    obs.counter_add("engine.jobs_admitted", float(n))
+
+
+def _dispatch_run(core: EngineCore, dispatch: Callable[[], object]) -> None:
+    """A batch run's whole dispatch.  Armed, it runs inside an
+    ``engine.dispatch`` span and the totals are emitted even if it raises."""
+    obs = core._obs
+    if obs is None:
+        dispatch()
+        return
+    try:
+        with obs.span("engine.dispatch"):
+            dispatch()
+    finally:
+        _emit_dispatch_totals(core)
+
+
+def _emit_dispatch_totals(core: EngineCore) -> None:
+    """Whole-run dispatch counters and the heap high-water mark."""
+    obs = core._obs
+    if obs is None:
+        return
+    obs.counter_add("engine.events_processed", core._events_processed)
+    obs.counter_add("engine.heap.pushes", core._queue._seq)
+    obs.gauge_set("engine.heap.peak", float(core._heap_peak))
+
+
+def _emit_run_end(
+    obs: Recorder, now: float, schedule: Schedule, events: int
+) -> None:
+    """Span, job count and length histogram, then ``engine.run_end``."""
+    jobs = schedule.instance.jobs
+    span = schedule.span
+    obs.gauge_set("engine.span", span)
+    obs.counter_add("engine.jobs", float(len(jobs)))
+    for job in jobs:
+        assert job.length is not None
+        obs.histogram_observe("engine.job_length", job.length)
+    obs.instant("engine.run_end", t=now, span=span, jobs=len(jobs), events=events)
+
+
+def _budget_error(max_events: int) -> SimulationError:
+    return SimulationError(
+        f"event budget exceeded ({max_events}); "
+        "likely a scheduler/adversary live-lock"
+    )
 
 
 def strict_mode_enabled() -> bool:
@@ -374,7 +489,8 @@ class Adversary(Protocol):
 
 
 class EngineCore(Protocol):
-    """What a core must provide to back a :class:`SchedulerContext`.
+    """What a core must provide to back a :class:`SchedulerContext` and
+    to share the run-lifecycle helpers above.
 
     Implemented by :class:`Simulator` (the object core) and
     :class:`~repro.core.columnar.ColumnarCore`.
@@ -383,6 +499,12 @@ class EngineCore(Protocol):
     _now: float
     _clairvoyant: bool
     _queue: EventQueue
+    _scheduler: Any
+    _adversary: Any
+    _ctx: SchedulerContext
+    _obs: Recorder | None
+    _events_processed: int
+    _heap_peak: int
 
     def _start_job(self, job_id: int) -> None: ...
 
@@ -680,9 +802,19 @@ class Simulator:
         self._running: dict[int, _JobState] = {}
         self._now = 0.0
         self._events_processed = 0
+        self._heap_peak = 0
         self._ctx = SchedulerContext(self)
         self._started = False
         self._streaming = False
+        #: Object-core event handlers, indexed by the raw event kind int.
+        self._handlers: tuple[Callable[[Any], None], ...] = (
+            self._handle_completion,  # 0 COMPLETION
+            self._handle_assign,      # 1 ASSIGN
+            self._handle_arrival,     # 2 ARRIVAL
+            self._handle_deadline,    # 3 DEADLINE
+            self._handle_timer,       # 4 TIMER
+            self._handle_adversary,   # 5 ADVERSARY
+        )
 
         # Scheduler hooks are resolved once instead of via getattr per
         # event (the previous `_call_hook` showed up in profiles at
@@ -729,97 +861,65 @@ class Simulator:
             from .columnar import ColumnarCore
 
             return ColumnarCore(self).run()
-        return self._run_object()
+        self._begin(streaming=False)
+        _dispatch_run(self, self._dispatch)
+        return self._finish()
 
-    def _run_object(self) -> SimulationResult:
-        """The reference object-core event loop."""
-        obs = self._obs
-
+    def _begin(self, *, streaming: bool) -> None:
+        """Admit the initial jobs, call ``setup``, emit ``engine.run_begin``."""
         if self._instance is not None:
             initial = list(self._instance.jobs)
         else:
             assert self._adversary is not None
             initial = list(self._adversary.initial_jobs())
-
         self._admit_batch(initial)
+        _begin_run(self, len(initial), streaming=streaming)
 
-        setup = getattr(self._scheduler, "setup", None)
-        if callable(setup):
-            setup(self._ctx)
+    def _dispatch(
+        self, until: float | None = None, inclusive: bool = True
+    ) -> int:
+        """The object core's event loop: dispatch queued events up to
+        ``until`` (``None``: until the queue is empty); returns the count.
 
-        if obs is not None:
-            obs.instant(
-                "engine.run_begin",
-                scheduler=type(self._scheduler).__name__,
-                clairvoyant=self._clairvoyant,
-                adversarial=self._adversary is not None,
-                initial_jobs=len(initial),
-            )
-
-        # --- hot loop -----------------------------------------------------
-        # Locals hoisted and events popped as raw tuples: at >10^5 events
-        # per adversarial run, attribute lookups and Event construction
-        # dominate otherwise (see repro/perf/bench.py for the tracked
-        # numbers).  When a recorder is armed (``obs is not None``), the
-        # loop additionally maintains per-kind dispatch counters and the
-        # heap high-water mark; disarmed, the extra cost is one local
-        # ``is not None`` test per event (ratcheted by
-        # ``python -m repro obs overhead``).
+        Batch :meth:`run` calls it once, streaming :meth:`advance` once
+        per call.  Locals are hoisted and events popped as raw tuples: at
+        >10^5 events per adversarial run, attribute lookups and Event
+        construction dominate otherwise (see repro/perf/bench.py for the
+        tracked numbers).  When a recorder is armed (``obs is not
+        None``), the loop also keeps per-kind dispatch counters and the
+        heap high-water mark; disarmed, the extra cost is two local
+        ``is not None`` tests per event (ratcheted by ``python -m repro
+        obs overhead``).
+        """
+        obs = self._obs
         heap = self._queue._heap
         max_events = self._max_events
-        handlers = (
-            self._handle_completion,  # 0 COMPLETION
-            self._handle_assign,      # 1 ASSIGN
-            self._handle_arrival,     # 2 ARRIVAL
-            self._handle_deadline,    # 3 DEADLINE
-            self._handle_timer,       # 4 TIMER
-            self._handle_adversary,   # 5 ADVERSARY
-        )
-        processed = self._events_processed
-        heap_peak = len(heap)
+        handlers = self._handlers
+        processed = first = self._events_processed
+        heap_peak = self._heap_peak
         try:
-            if obs is not None:
-                with obs.span("engine.dispatch"):
-                    while heap:
-                        if len(heap) > heap_peak:
-                            heap_peak = len(heap)
-                        time, kind, _seq, payload = heappop(heap)
-                        processed += 1
-                        if processed > max_events:
-                            raise SimulationError(
-                                f"event budget exceeded ({max_events}); "
-                                "likely a scheduler/adversary live-lock"
-                            )
-                        if time < self._now:
-                            raise SimulationError(
-                                f"time went backwards: {time} < {self._now}"
-                            )
-                        self._now = time
-                        obs.counter_add(_OBS_EVENT_COUNTERS[kind])
-                        handlers[kind](payload)
-            else:
-                while heap:
-                    time, kind, _seq, payload = heappop(heap)
-                    processed += 1
-                    if processed > max_events:
-                        raise SimulationError(
-                            f"event budget exceeded ({max_events}); "
-                            "likely a scheduler/adversary live-lock"
-                        )
-                    if time < self._now:
-                        raise SimulationError(
-                            f"time went backwards: {time} < {self._now}"
-                        )
-                    self._now = time
-                    handlers[kind](payload)
+            while heap and (
+                until is None
+                or (heap[0][0] <= until if inclusive else heap[0][0] < until)
+            ):
+                if obs is not None and len(heap) > heap_peak:
+                    heap_peak = len(heap)
+                time, kind, _seq, payload = heappop(heap)
+                processed += 1
+                if processed > max_events:
+                    raise _budget_error(max_events)
+                if time < self._now:
+                    raise SimulationError(
+                        f"time went backwards: {time} < {self._now}"
+                    )
+                self._now = time
+                if obs is not None:
+                    obs.counter_add(_OBS_EVENT_COUNTERS[kind])
+                handlers[kind](payload)
         finally:
             self._events_processed = processed
-            if obs is not None:
-                obs.counter_add("engine.events_processed", processed)
-                obs.counter_add("engine.heap.pushes", self._queue._seq)
-                obs.gauge_set("engine.heap.peak", float(heap_peak))
-
-        return self._finish()
+            self._heap_peak = heap_peak
+        return processed - first
 
     # -------------------------------------------------------- streaming feed
     @property
@@ -838,12 +938,12 @@ class Simulator:
         :meth:`run` that drains every queued event, the caller
         interleaves :meth:`feed` (admit newly arrived jobs),
         :meth:`advance` (process queued events up to a logical time) and
-        finally :meth:`finish_stream` (drain and build the result).  The
-        per-event semantics are identical to a batch run — the same
-        heap, the same ``(time, kind, seq)`` total order, the same
-        handlers — so a time-ordered job stream produces the same
-        schedule, trace and decision records as running the equivalent
-        static instance in one shot.
+        finally :meth:`finish_stream` (drain and build the result).  A
+        batch :meth:`run` on the object core is this same lifecycle
+        taken in one go — the same begin step, the same event loop
+        (``_dispatch``), the same totals and finish — so a time-ordered
+        job stream produces the same schedule, trace and decision
+        records as running the equivalent static instance in one shot.
 
         Streaming requires the scalar object core (construct with
         ``Simulator(..., core="object")``); the columnar core's cohort
@@ -864,21 +964,7 @@ class Simulator:
             )
         self._started = True
         self._streaming = True
-        assert self._instance is not None
-        initial = list(self._instance.jobs)
-        self._admit_batch(initial)
-        setup = getattr(self._scheduler, "setup", None)
-        if callable(setup):
-            setup(self._ctx)
-        if self._obs is not None:
-            self._obs.instant(
-                "engine.run_begin",
-                scheduler=type(self._scheduler).__name__,
-                clairvoyant=self._clairvoyant,
-                adversarial=False,
-                initial_jobs=len(initial),
-                streaming=True,
-            )
+        self._begin(streaming=True)
 
     def feed(self, jobs: "Iterable[Job]") -> int:
         """Admit newly arrived jobs mid-stream; returns how many.
@@ -904,62 +990,36 @@ class Simulator:
     def advance(self, until: float | None = None, *, inclusive: bool = True) -> int:
         """Dispatch queued events up to ``until``; returns the count.
 
-        ``None`` drains the queue completely.  With ``inclusive=False``
-        only events *strictly before* ``until`` dispatch — the mode the
-        serve session uses when a job at arrival ``a`` comes in, so the
-        whole time-``a`` cohort (arrivals before deadlines, exactly as
-        the batch engine orders them) stays queued until the stream
-        moves past ``a``.  Either way the logical clock ends at
-        ``max(now, until)``, so a later :meth:`feed` of a job arriving
-        before ``until`` is rejected: per-tenant streams must be
-        time-monotone, exactly like the online model.
+        ``None`` drains the queue completely; any other ``until`` must
+        be finite (:class:`SimulationError` otherwise, before any state
+        changes).  With ``inclusive=False`` only events *strictly
+        before* ``until`` dispatch — the mode the serve session uses
+        when a job at arrival ``a`` comes in, so the whole time-``a``
+        cohort (arrivals before deadlines, exactly as the batch engine
+        orders them) stays queued until the stream moves past ``a``.
+        Either way the logical clock ends at ``max(now, until)``, so a
+        later :meth:`feed` of a job arriving before ``until`` is
+        rejected: per-tenant streams must be time-monotone, exactly like
+        the online model.
         """
         if not self._streaming:
             raise SimulationError(
                 "advance() requires an active start_stream() session"
             )
-        if until is not None and until < self._now:
-            raise SimulationError(
-                f"advance({until}) is in the past (now={self._now})"
-            )
-        obs = self._obs
-        heap = self._queue._heap
-        max_events = self._max_events
-        handlers = (
-            self._handle_completion,  # 0 COMPLETION
-            self._handle_assign,      # 1 ASSIGN
-            self._handle_arrival,     # 2 ARRIVAL
-            self._handle_deadline,    # 3 DEADLINE
-            self._handle_timer,       # 4 TIMER
-            self._handle_adversary,   # 5 ADVERSARY
-        )
-        processed = self._events_processed
-        first = processed
-        try:
-            while heap and (
-                until is None
-                or (heap[0][0] <= until if inclusive else heap[0][0] < until)
-            ):
-                time, kind, _seq, payload = heappop(heap)
-                processed += 1
-                if processed > max_events:
-                    raise SimulationError(
-                        f"event budget exceeded ({max_events}); "
-                        "likely a scheduler/adversary live-lock"
-                    )
-                if time < self._now:
-                    raise SimulationError(
-                        f"time went backwards: {time} < {self._now}"
-                    )
-                self._now = time
-                if obs is not None:
-                    obs.counter_add(_OBS_EVENT_COUNTERS[kind])
-                handlers[kind](payload)
-        finally:
-            self._events_processed = processed
+        if until is not None:
+            if not math.isfinite(until):
+                raise SimulationError(
+                    f"advance({until}) needs a finite time "
+                    "(None drains every queued event)"
+                )
+            if until < self._now:
+                raise SimulationError(
+                    f"advance({until}) is in the past (now={self._now})"
+                )
+        dispatched = self._dispatch(until, inclusive)
         if until is not None and until > self._now:
             self._now = until
-        return processed - first
+        return dispatched
 
     def finish_stream(self) -> SimulationResult:
         """Drain every remaining event and build the result.
@@ -972,12 +1032,9 @@ class Simulator:
             raise SimulationError(
                 "finish_stream() requires an active start_stream() session"
             )
-        self.advance(None)
+        self._dispatch()
         self._streaming = False
-        obs = self._obs
-        if obs is not None:
-            obs.counter_add("engine.events_processed", self._events_processed)
-            obs.counter_add("engine.heap.pushes", self._queue._seq)
+        _emit_dispatch_totals(self)
         return self._finish()
 
     # -------------------------------------------------------------- internal
@@ -1015,25 +1072,11 @@ class Simulator:
             self._trace.append(
                 self._now, TraceKind.RELEASE, job.id, f"arrival={job.arrival:g}"
             )
-        obs = self._obs
-        if obs is not None:
-            if st.length is not None:
-                obs.instant(
-                    "engine.release",
-                    t=self._now,
-                    job=job.id,
-                    arrival=job.arrival,
-                    deadline=job.deadline,
-                    length=st.length,
-                )
-            else:
-                obs.instant(
-                    "engine.release",
-                    t=self._now,
-                    job=job.id,
-                    arrival=job.arrival,
-                    deadline=job.deadline,
-                )
+        if self._obs is not None:
+            _emit_release(
+                self._obs, self._now, job.id, job.arrival, job.deadline,
+                st.length,
+            )
         return st
 
     def _admit_job(self, job: Job) -> None:
@@ -1052,21 +1095,12 @@ class Simulator:
         for §3.1 adversarial iterations releases thousands of jobs at a
         single instant.
         """
-        obs = self._obs
-        if obs is not None:
-            with obs.span("engine.admit_batch", n=len(jobs)):
-                for job in jobs:
-                    self._validate_admission(job)
-                self._queue.extend(
-                    (job.arrival, EventKind.ARRIVAL, job.id) for job in jobs
-                )
-            obs.counter_add("engine.jobs_admitted", float(len(jobs)))
-            return
-        for job in jobs:
-            self._validate_admission(job)
-        self._queue.extend(
-            (job.arrival, EventKind.ARRIVAL, job.id) for job in jobs
-        )
+        with _admission(self._obs, len(jobs)):
+            for job in jobs:
+                self._validate_admission(job)
+            self._queue.extend(
+                (job.arrival, EventKind.ARRIVAL, job.id) for job in jobs
+            )
 
     def _handle_arrival(self, job_id: int) -> None:
         st = self._states[job_id]
@@ -1252,18 +1286,7 @@ class Simulator:
         schedule = Schedule(resolved, starts)
         obs = self._obs
         if obs is not None:
-            obs.gauge_set("engine.span", schedule.span)
-            obs.counter_add("engine.jobs", float(len(jobs)))
-            for job in jobs:
-                assert job.length is not None
-                obs.histogram_observe("engine.job_length", job.length)
-            obs.instant(
-                "engine.run_end",
-                t=self._now,
-                span=schedule.span,
-                jobs=len(jobs),
-                events=self._events_processed,
-            )
+            _emit_run_end(obs, self._now, schedule, self._events_processed)
         return SimulationResult(
             schedule=schedule,
             instance=resolved,

@@ -44,7 +44,7 @@ RL012     hot-path-object-alloc — per-job ``Job``/``JobView``
 RL013     core-parity-drift — a state field, event kind, or guard in one
           engine core (object/columnar) with no declared mirror or
           ``# parity: <side>-only`` annotation in the other; includes
-          the cohort-soundness table and the armed scalar-mirror loop.
+          the cohort-soundness table.
 RL014     lifecycle-typestate — a PENDING→RUNNING→DONE lifecycle write
           in an illegal event phase, or a scheduler that starts jobs
           from ``on_deadline`` without the deadline-flag/backstop

@@ -208,9 +208,9 @@ class CoreParityDriftRule(ProgramRule):
     deep (mapped to shared tokens via ``_PARITY_FIELDS``), pushed event
     kinds and raised exception types under the full same-class call
     closure, plus columnar-internal soundness — every ``_cohort_<k>``
-    needs a scalar ``_handle_<k>`` twin, only commuting kinds
-    (:data:`SOUND_COHORTS`) may be vectorised, and the recorder-armed
-    scalar mirror loop (``_run_armed``) must never take a cohort path.
+    needs a scalar ``_handle_<k>`` twin (a recorder-armed run dispatches
+    every event scalar-wise) and only commuting kinds
+    (:data:`SOUND_COHORTS`) may be vectorised.
 
     Offending::
 
@@ -336,7 +336,7 @@ class CoreParityDriftRule(ProgramRule):
                     fn.lineno,
                     0,
                     f"vectorised handler {mname} has no scalar _handle_{kind} "
-                    "twin — the armed mirror loop cannot reproduce it",
+                    "twin — an armed run cannot reproduce it",
                     f"{cls.name}.{mname}",
                 )
             if kind not in SOUND_COHORTS:
@@ -348,36 +348,6 @@ class CoreParityDriftRule(ProgramRule):
                     f"soundness table {sorted(SOUND_COHORTS)} — same-timestamp "
                     f"{kind} events do not commute",
                     f"{cls.name}.{mname}",
-                )
-        armed = cls.methods.get("_run_armed")
-        fast = cls.methods.get("_run_fast")
-        if armed is not None:
-            bad = sorted(a for a in armed.self_loads if a.startswith("_cohort_"))
-            for attr in bad:
-                yield from self._emit(
-                    model,
-                    armed.lineno,
-                    0,
-                    f"_run_armed references {attr} — the recorder-armed "
-                    "scalar mirror must never take a vectorised cohort path",
-                    f"{cls.name}._run_armed",
-                )
-        if armed is not None and fast is not None:
-            armed_handlers = {
-                a for a in armed.self_loads if a.startswith("_handle_")
-            }
-            fast_handlers = {
-                a for a in fast.self_loads if a.startswith("_handle_")
-            }
-            for attr in sorted(armed_handlers ^ fast_handlers):
-                owner = armed if attr in armed_handlers else fast
-                yield from self._emit(
-                    model,
-                    owner.lineno,
-                    0,
-                    f"scalar handler {attr} is dispatched by only one of "
-                    "_run_fast/_run_armed — the two loop variants drifted",
-                    f"{cls.name}.{owner.name}",
                 )
 
     def _check_pair(

@@ -10,10 +10,10 @@ a heap push — so this rule polices the hot sections of the two engine
 cores (``repro/core/engine.py`` and ``repro/core/columnar.py``).
 
 A **hot section** is a function whose name marks it as per-event or
-per-cohort code: the dispatch loops (``_run_*``), the event handlers
-(``_handle_*``), the cohort paths (``_cohort_*``, ``_complete_*``,
-``_assign_*``, ``_gather*``), the start paths (``_start_*``) and the
-heap feeders (``_push_*``).  Inside those, the rule flags:
+per-cohort code: the dispatch loops (``_run_*``, ``_dispatch*``), the
+event handlers (``_handle_*``), the cohort paths (``_cohort_*``,
+``_complete_*``, ``_assign_*``, ``_gather*``), the start paths
+(``_start_*``) and the heap feeders (``_push_*``).  Inside those, the rule flags:
 
 * construction of a per-job object — ``Job(...)``, ``JobView(...)``,
   ``TableJobView(...)``, ``_JobState(...)``.  Hot code must address
@@ -94,9 +94,9 @@ class HotPathAllocRule(Rule):
     boundaries (lazily cached by ``JobTable.job`` and
     ``ColumnarCore._view``).  This rule keeps it that way: inside hot
     sections of ``repro/core/engine.py`` and ``repro/core/columnar.py``
-    — functions named ``_run_*``, ``_handle_*``, ``_cohort_*``,
-    ``_complete_*``, ``_assign_*``, ``_gather*``, ``_start_*``,
-    ``_push_*`` — it flags
+    — functions named ``_run_*``, ``_dispatch*``, ``_handle_*``,
+    ``_cohort_*``, ``_complete_*``, ``_assign_*``, ``_gather*``,
+    ``_start_*``, ``_push_*`` — it flags
 
     * ``Job(...)`` / ``JobView(...)`` / ``TableJobView(...)`` /
       ``_JobState(...)`` constructor calls, and

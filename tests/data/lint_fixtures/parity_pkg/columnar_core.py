@@ -1,4 +1,4 @@
-"""The columnar mini-core: parallel lists, arrival cohorts, armed mirror."""
+"""The columnar mini-core: parallel lists, arrival cohorts, one loop."""
 
 from __future__ import annotations
 
@@ -25,8 +25,9 @@ _DONE = 2
 
 class ColumnarMiniCore:
     """Same FIFO single-machine semantics as ``ObjectMiniCore``, stored
-    column-wise; same-timestamp arrivals take a vectorised cohort path in
-    the fast loop, while the armed loop mirrors every event scalar-wise."""
+    column-wise; same-timestamp arrivals take a vectorised cohort path,
+    except in an armed run, where the one loop takes every event
+    scalar-wise."""
 
     def __init__(self) -> None:
         self._now = 0.0
@@ -41,8 +42,8 @@ class ColumnarMiniCore:
 
     def run(self, jobs, armed: bool = False) -> dict:
         """``jobs`` is ``[(job_id, arrival, length), ...]``; returns the
-        final ``{job_id: start_time}`` schedule.  ``armed=True`` drives
-        the scalar mirror loop instead of the cohort fast path."""
+        final ``{job_id: start_time}`` schedule.  ``armed=True`` gathers
+        no cohorts."""
         for job_id, arrival, length in jobs:
             row = len(self.ids_col)
             self.ids_col.append(job_id)
@@ -51,11 +52,6 @@ class ColumnarMiniCore:
             self.state.append(_PENDING)
             self.start_col.append(None)
             heapq.heappush(self._events, (arrival, _ARRIVAL, row))
-        if armed:
-            return self._run_armed()
-        return self._run_fast()
-
-    def _run_fast(self) -> dict:
         events = self._events
         while events:
             t, kind, idx = heapq.heappop(events)
@@ -64,25 +60,17 @@ class ColumnarMiniCore:
             self._now = t
             if kind == _ARRIVAL:
                 rows = [idx]
-                while events and events[0][0] == t and events[0][1] == _ARRIVAL:
+                while (
+                    not armed
+                    and events
+                    and events[0][0] == t
+                    and events[0][1] == _ARRIVAL
+                ):
                     rows.append(heapq.heappop(events)[2])
                 if len(rows) == 1:
                     self._handle_arrival(idx)
                 else:
                     self._cohort_arrival(rows)
-            else:
-                self._handle_completion(idx)
-        return self._schedule()
-
-    def _run_armed(self) -> dict:
-        events = self._events
-        while events:
-            t, kind, idx = heapq.heappop(events)
-            if t < self._now:
-                raise SimulationError("event time moved backwards")
-            self._now = t
-            if kind == _ARRIVAL:
-                self._handle_arrival(idx)
             else:
                 self._handle_completion(idx)
         return self._schedule()

@@ -256,8 +256,8 @@ class TestTableViewStrictGuard:
     def test_precompletion_read_raises_armed_loop(self, monkeypatch):
         # Clairvoyant run, non-clairvoyant scheduler: lengths are visible
         # in the table, so only the strict guard stands between the
-        # scheduler and the oracle.  A live recorder also routes the run
-        # through the scalar mirror loop — the guard must fire there too,
+        # scheduler and the oracle.  A live recorder also keeps the run
+        # off the cohort paths — the guard must fire there too,
         # and its trip must land in the recorder.
         rec = TraceRecorder()
         with pytest.raises(ClairvoyanceError):

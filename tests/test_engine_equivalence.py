@@ -1,6 +1,6 @@
 """Columnar-vs-object engine equivalence: the cores must be twins.
 
-The object core (`repro.core.engine.Simulator._run_object`) defines the
+The object core (`repro.core.engine.Simulator._dispatch`) defines the
 semantics; the columnar core (`repro.core.columnar.ColumnarCore`) is the
 struct-of-arrays hot path that must reproduce it **bit-for-bit**: every
 trace record, every start time, the span, the event count, the audit

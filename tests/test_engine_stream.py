@@ -60,6 +60,15 @@ def _decisions(rec: TraceRecorder):
     ]
 
 
+def _dispatch_counters(rec: TraceRecorder):
+    return {
+        name: value
+        for name, value in rec.metrics.counters.items()
+        if name.startswith("engine.events")
+        or name == "engine.heap.pushes"
+    }
+
+
 class TestStreamBatchParity:
     @pytest.mark.parametrize("name", STREAM_SCHEDULERS)
     def test_seeded_workloads_bit_identical(self, name):
@@ -74,6 +83,14 @@ class TestStreamBatchParity:
                 == batch_result.schedule.starts()
             )
             assert _decisions(stream_rec) == _decisions(batch_rec)
+            # One event loop, one set of dispatch metrics.  The peak
+            # values differ (batch admits every arrival up front), so
+            # only its presence is pinned.
+            assert _dispatch_counters(stream_rec) == _dispatch_counters(
+                batch_rec
+            )
+            for rec in (batch_rec, stream_rec):
+                assert "engine.heap.peak" in rec.metrics.gauges
 
     @pytest.mark.parametrize("name", STREAM_SCHEDULERS)
     def test_fixture_instances(self, name, simple_instance, serial_instance):
@@ -157,6 +174,18 @@ class TestStreamApi:
         sim.advance(5.0)
         with pytest.raises(SimulationError, match="in the past"):
             sim.advance(4.0)
+
+    @pytest.mark.parametrize("until", [float("nan"), float("inf"), -float("inf")])
+    def test_advance_non_finite_rejected(self, until):
+        sim = self._stream_sim()
+        job = Instance.from_triples([(1, 2, 1)]).jobs[0]
+        sim.feed([job])
+        with pytest.raises(SimulationError, match="finite"):
+            sim.advance(until)
+        # Nothing was touched: the clock and the queue are where they were.
+        assert sim.now == 0.0
+        assert sim.advance(None) == 3
+        assert set(sim.finish_stream().schedule.starts()) == {job.id}
 
     def test_feed_past_arrival_rejected(self):
         sim = self._stream_sim()
