@@ -16,12 +16,15 @@ emission order.  The format round-trips losslessly through
 
 The versioned header + atomic-write discipline is shared with other
 subsystems through the generic pair :func:`dump_jsonl` /
-:func:`scan_jsonl` — ``repro.serve`` checkpoints ride on it, which is why
-the writer is hardened: a unique ``mkstemp`` temp file per writer (two
-concurrent writers to the same target can never clobber each other's
-half-written file), ``fsync`` before the rename (a checkpoint that
-``os.replace`` has published must be durable), and a ``finally`` cleanup
-so a mid-write exception never leaves a stray temp file behind.
+:func:`scan_jsonl`.  ``repro.serve`` checkpoints use :func:`dump_jsonl`
+for their first, whole-file write (later saves append to that file, and
+:func:`scan_committed_jsonl` reads it back up to its last ``commit``
+row), which is why the writer is hardened: a unique ``mkstemp`` temp
+file per writer (two concurrent writers to the same target can never
+clobber each other's half-written file), ``fsync`` before the rename (a
+checkpoint that ``os.replace`` has published must be durable), and a
+``finally`` cleanup so a mid-write exception never leaves a stray temp
+file behind.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "LoadedTrace",
     "dump_jsonl",
     "read_jsonl",
+    "scan_committed_jsonl",
     "scan_jsonl",
     "write_jsonl",
 ]
@@ -113,6 +117,28 @@ def dump_jsonl(
     return str(target)
 
 
+def _header(source: Path, obj: Any) -> dict[str, Any]:
+    """Validate a file's first logical record; return its meta fields."""
+    if not isinstance(obj, dict) or obj.get("kind") != "meta":
+        raise ValueError(
+            f"{source}: not a versioned repro JSONL file "
+            "(first line must be meta)"
+        )
+    version = obj.get("version")
+    if version != JSONL_VERSION:
+        raise ValueError(
+            f"{source}: unsupported trace version {version!r} "
+            f"(this reader speaks {JSONL_VERSION})"
+        )
+    return {k: v for k, v in obj.items() if k != "kind"}
+
+
+def _no_header(source: Path) -> ValueError:
+    return ValueError(
+        f"{source}: empty file is not a valid trace (missing meta header)"
+    )
+
+
 def scan_jsonl(
     path: "str | os.PathLike[str]",
 ) -> tuple[dict[str, Any], list[dict[str, Any]]]:
@@ -137,18 +163,7 @@ def scan_jsonl(
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{source}:{lineno}: invalid JSON: {exc}") from None
             if meta is None:
-                if not isinstance(obj, dict) or obj.get("kind") != "meta":
-                    raise ValueError(
-                        f"{source}: not a versioned repro JSONL file "
-                        "(first line must be meta)"
-                    )
-                version = obj.get("version")
-                if version != JSONL_VERSION:
-                    raise ValueError(
-                        f"{source}: unsupported trace version {version!r} "
-                        f"(this reader speaks {JSONL_VERSION})"
-                    )
-                meta = {k: v for k, v in obj.items() if k != "kind"}
+                meta = _header(source, obj)
                 continue
             if not isinstance(obj, dict):
                 raise ValueError(
@@ -156,10 +171,63 @@ def scan_jsonl(
                 )
             records.append(obj)
     if meta is None:
-        raise ValueError(
-            f"{source}: empty file is not a valid trace (missing meta header)"
-        )
+        raise _no_header(source)
     return meta, records
+
+
+def scan_committed_jsonl(
+    path: "str | os.PathLike[str]", commit_kind: str
+) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+    """Read an append-only versioned JSONL log up to its last commit row.
+
+    Like :func:`scan_jsonl`, for a file that a writer extends by whole
+    appends, each ending in a ``{"kind": commit_kind, ...}`` row.  The
+    records are returned up to and including the last commit row:
+    anything after it is an append that never finished (complete rows,
+    or a torn final line) and is dropped.  A malformed line *before* the
+    last commit still raises ``ValueError``.  A file with no commit row
+    reads exactly as under :func:`scan_jsonl`.
+
+    Lines are read as bytes, so a tail cut inside a multi-byte character
+    is just another torn line.
+    """
+    source = Path(path)
+    meta: dict[str, Any] | None = None
+    records: list[dict[str, Any]] = []
+    committed: int | None = None  # len(records) at the last commit row
+    error: str | None = None  # first malformed line since that commit
+    with source.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                if meta is None:
+                    raise ValueError(
+                        f"{source}:{lineno}: invalid JSON: {exc}"
+                    ) from None
+                error = error or f"{source}:{lineno}: invalid JSON: {exc}"
+                continue
+            if meta is None:
+                meta = _header(source, obj)
+                continue
+            if not isinstance(obj, dict):
+                error = error or f"{source}:{lineno}: record is not a JSON object"
+                continue
+            records.append(obj)
+            if obj.get("kind") == commit_kind:
+                if error is not None:
+                    raise ValueError(error)  # a committed line is malformed
+                committed = len(records)
+    if meta is None:
+        raise _no_header(source)
+    if committed is None:
+        if error is not None:
+            raise ValueError(error)
+        return meta, records
+    return meta, records[:committed]
 
 
 def write_jsonl(

@@ -487,6 +487,15 @@ class ServeDaemon:
             return
         tenant = op.get("tenant")
         if tenant is None:  # tenant-less checkpoint: fan out to every tenant
+            if not self.tenants:
+                self.errors += 1
+                message = (
+                    "no tenants to checkpoint"
+                    if self.checkpoint_dir is not None
+                    else "no checkpoint directory configured"
+                )
+                await conn.send([error_record(message, op=kind)])
+                return
             # No session check here: sessions are created by the worker,
             # so a just-routed `open` may not have run yet.  The queue is
             # FIFO per tenant — by the time the worker reaches this op,
@@ -540,8 +549,8 @@ class ServeDaemon:
         """Apply one op to a tenant (worker task only: single-writer).
 
         Session mutation itself is pure CPU and stays on the loop, but
-        checkpoint/trace persistence is real file I/O (atomic-rename
-        JSONL dumps) and runs in a worker thread (RL017).  Single-writer
+        checkpoint/trace persistence is real file I/O (JSONL writes and
+        appends) and runs in a worker thread (RL017).  Single-writer
         still holds: the tenant worker awaits this coroutine before
         taking the next op, so the session is never touched by two
         threads at once.

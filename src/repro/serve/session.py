@@ -197,14 +197,21 @@ class TenantSession:
         self.closed = False
         self.failed: str | None = None
         self.result: SimulationResult | None = None
-        #: Ops applied since the last checkpoint (daemon's cadence counter).
-        self.ops_since_checkpoint = 0
+        #: Leading ops of :attr:`input_log` in the checkpoint file this
+        #: session wrote.  0 (new or restored session, or a failed
+        #: append) makes the next save rewrite the whole file.
+        self.saved_ops = 0
 
     # ------------------------------------------------------------------- api
     @property
     def clock(self) -> float:
         """The tenant's logical (simulation) time."""
         return self.sim.now
+
+    @property
+    def ops_since_checkpoint(self) -> int:
+        """Logged ops not yet in the checkpoint file (daemon's cadence)."""
+        return len(self.input_log) - self.saved_ops
 
     def hello(self) -> list[dict[str, Any]]:
         """The session's opening output records (``serve.open``).
@@ -270,7 +277,6 @@ class TenantSession:
                 }
             )
         self.input_log.append(dict(op))
-        self.ops_since_checkpoint += 1
         return self._deliver(outs)
 
     def write_trace(self, directory: "str | Path") -> str:
@@ -312,8 +318,27 @@ class TenantSession:
         }
         if self.params:
             meta["params"] = dict(self.params)
-        rows = [{"kind": "op", "data": dict(op)} for op in self.input_log]
-        return meta, rows
+        return meta, self._op_rows(0)
+
+    def checkpoint_append(self) -> list[dict[str, Any]]:
+        """The rows an appending save adds to the checkpoint file.
+
+        The ops logged after the first :attr:`saved_ops`, then one
+        ``commit`` row carrying the state that :meth:`checkpoint_state`'s
+        meta header would carry now.  A reader takes the last commit row
+        as the checkpoint; see :func:`repro.serve.checkpoint.load_checkpoint`.
+        """
+        rows = self._op_rows(self.saved_ops)
+        rows.append(
+            {
+                "kind": "commit",
+                "ops": len(self.input_log),
+                "emitted": self.emitted,
+                "clock": self.clock,
+                "closed": self.closed,
+            }
+        )
+        return rows
 
     @classmethod
     def restore(
@@ -354,6 +379,9 @@ class TenantSession:
         return session
 
     # -------------------------------------------------------------- internal
+    def _op_rows(self, start: int) -> list[dict[str, Any]]:
+        return [{"kind": "op", "data": dict(op)} for op in self.input_log[start:]]
+
     def _dispatch(self, until: float, *, inclusive: bool) -> None:
         """Advance the engine, poisoning the session on dispatch failure."""
         if until < self.sim.now:

@@ -23,6 +23,7 @@ from repro.serve import daemon as daemon_module
 from repro.serve import session as session_module
 from repro.serve.checkpoint import (
     list_checkpoints,
+    load_checkpoint,
     restore_session,
     save_checkpoint,
 )
@@ -220,6 +221,36 @@ class TestDaemonBasics:
             assert set(stats["tenants"]) == {"a", "b"}
             await client.close()
             await stop_daemon(daemon, task)
+
+        run_async(scenario())
+
+    @pytest.mark.parametrize(
+        "with_dir,message",
+        [(True, "no tenants to checkpoint"),
+         (False, "no checkpoint directory configured")],
+        ids=["dir", "no_dir"],
+    )
+    def test_tenantless_checkpoint_without_tenants_answers_error(
+        self, tmp_path, with_dir, message
+    ):
+        async def scenario():
+            kwargs = {"checkpoint_dir": tmp_path / "ckpt"} if with_dir else {}
+            daemon, task, sock = await start_daemon(tmp_path, **kwargs)
+            client = await Client.connect(sock)
+            await client.recv()  # ready
+            await client.send({"op": "checkpoint"})
+            await client.send({"op": "stats"})
+            error = await client.recv()
+            assert error == {
+                "kind": "serve.error", "error": message, "op": "checkpoint"
+            }
+            stats = await client.recv()  # exactly one reply, then stats
+            assert stats["kind"] == "serve.stats"
+            assert stats["errors"] == 1
+            assert stats["tenants"] == {}
+            await client.close()
+            await stop_daemon(daemon, task)
+            assert list_checkpoints(tmp_path / "ckpt") == []
 
         run_async(scenario())
 
@@ -703,6 +734,81 @@ class TestDaemonRestore:
             for record in trace_records:
                 assert "records_dropped" not in record
                 assert main(["obs", "explain", record["path"], "--strict"]) == 0
+
+        run_async(scenario())
+
+    def test_two_crashes_in_a_row_with_appended_saves(self, tmp_path):
+        """Kill, restore, more ops, kill, restore, close: with saves
+        every 2 ops most saves append, and the first save after each
+        restore rewrites the file whole."""
+        jobs = [
+            job_line("t1", i, i * 0.7, i * 0.7 + 1.0 + i % 3, 1.0 + i % 4)
+            for i in range(14)
+        ]
+        first, second = jobs[:7], jobs[7:]
+        close = {"op": "close", "tenant": "t1"}
+        reference = reference_outputs("t1", jobs + [close])
+        full = [record for records in reference for record in records]
+        ckpt = tmp_path / "ckpt"
+        path = ckpt / "t1.ckpt.jsonl"
+
+        def rows():
+            return [json.loads(line) for line in path.open(encoding="utf-8")]
+
+        async def run_then_kill(name, ops, **kwargs):
+            """Apply ``ops``, barrier on a checkpoint, SIGKILL; returns
+            the records delivered (the ack excluded)."""
+            (tmp_path / name).mkdir()
+            daemon, task, sock = await start_daemon(
+                tmp_path / name, checkpoint_dir=ckpt,
+                checkpoint_interval=2, **kwargs
+            )
+            client = await Client.connect(sock)
+            await client.recv()  # ready
+            for op in ops:
+                await client.send(op)
+            await client.send({"op": "checkpoint", "tenant": "t1"})
+            delivered = await client.recv_until(
+                lambda r: r["kind"] == "serve.checkpoint"
+            )
+            await hard_kill(daemon, task)  # SIGKILL: no drain, no flush
+            await client.close()
+            sock.unlink(missing_ok=True)
+            return delivered[:-1]
+
+        async def scenario():
+            delivered = await run_then_kill("d1", first)
+            kinds = [row["kind"] for row in rows()]
+            assert kinds.count("commit") >= 3  # saves 2..4 appended
+            assert rows()[0]["ops"] == 2  # the first save wrote it whole
+
+            delivered += await run_then_kill("d2", second, restore=True)
+            header, *body = rows()
+            # The first save after the restore (after op 8) rewrote it.
+            assert header["ops"] == len(first) + 1
+            assert [r["kind"] for r in body].count("commit") >= 3
+
+            (tmp_path / "d3").mkdir()
+            daemon, task, sock = await start_daemon(
+                tmp_path / "d3", checkpoint_dir=ckpt,
+                checkpoint_interval=2, restore=True,
+            )
+            client = await Client.connect(sock)
+            assert (await client.recv())["tenants"] == ["t1"]
+            await client.send(close)
+            post = await client.recv_until(
+                lambda r: r["kind"] == "serve.closed"
+            )
+            await client.close()
+            await stop_daemon(daemon, task)
+
+            assert delivered + post == full
+            started = [r["job"] for r in delivered + post
+                       if r["kind"] == "start"]
+            assert sorted(started) == list(range(len(jobs)))  # none twice
+            session = daemon.tenants["t1"].session
+            assert load_checkpoint(path)[1] == session.input_log
+            assert session.input_log == jobs + [close]
 
         run_async(scenario())
 
